@@ -9,9 +9,17 @@
 //! * Each shard actor **publishes** an immutable, epoch-stamped
 //!   [`ReadSnapshot`] of its read state at the end of every drain cycle
 //!   that folded commits. Publication is cheap — the snapshot is a
-//!   persistent (structurally shared) tree, so publishing clones an `Arc`,
-//!   not the records — and it never blocks the write path: the shared
-//!   slot is swapped under a pointer-sized critical section.
+//!   persistent (structurally shared) B+tree keyed by `(peer, task)`, so
+//!   publishing clones the root `Arc`, not the records — and it never
+//!   blocks the write path: the shared slot is swapped under a
+//!   pointer-sized critical section, and the replaced snapshot is freed
+//!   after it.
+//! * Mirroring a fold into the actor's working copy is one descent. A node
+//!   still shared with a published snapshot is copied on its first touch
+//!   after that publication and edited in place afterwards, so each
+//!   touched node is copied at most once per publication: O(depth) node
+//!   copies for a 1-session drain, and never more nodes than the drain
+//!   touched for a large one.
 //! * A [`ReplicaHandle`] serves `trustworthiness` / `record` /
 //!   `known_peers` / `task_records` directly off the latest snapshots with
 //!   **zero mailbox traffic** — reads scale independently of the actors
@@ -84,179 +92,137 @@ use crate::delegation::DelegationReceipt;
 use crate::record::TrustRecord;
 use crate::task::TaskId;
 use crate::tw::{Normalizer, Trustworthiness};
-use std::cmp::Ordering as CmpOrdering;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
-// A persistent (structurally shared) AVL map from peer to its task records.
+// A persistent (structurally shared) B+tree from `(peer, task)` to record.
 //
-// The actor applies every receipt to its working copy via O(log n)
-// path-copying, and "publishing" the whole read state is then one `Arc`
-// clone of the root — no deep copy per drain, which is what makes
-// publish-per-drain affordable at 100k+ records. Nodes the update path
-// does not touch are shared between the working copy and every published
-// snapshot (SymanticWeft ADR-0005's frame: immutable units, convergence
-// without coordination).
+// Records sit inline in the leaves; inner nodes hold `(first key, child)`
+// pairs. Publishing the whole read state is one `Arc` clone of the root —
+// no deep copy per drain. Every upsert descends through `Arc::make_mut`: a
+// node still shared with a published snapshot is copied on its first touch
+// after that publication and edited in place on every later touch until
+// the next one. A drain therefore copies each node it touches at most once
+// per publication — O(depth) node copies for a 1-session drain, at most
+// the touched leaves plus their ancestors for a large one — and every node
+// it does not touch stays shared between the working copy and all
+// published snapshots (SymanticWeft ADR-0005's frame: immutable units,
+// convergence without coordination). The service never deletes a record,
+// so nodes only ever split.
 // ---------------------------------------------------------------------------
 
-type Recs = Arc<Vec<(TaskId, TrustRecord)>>;
-type Link<P> = Option<Arc<Node<P>>>;
+/// Entries per node before it splits: wide enough to keep the tree a few
+/// levels deep at millions of records, narrow enough that the copy a node
+/// takes on its first touch after a publication stays cheap.
+const FANOUT: usize = 32;
 
-#[derive(Debug)]
-struct Node<P> {
-    peer: P,
-    /// This peer's records, ascending by task — small (one entry per task
-    /// the peer was ever delegated), shared with published snapshots until
-    /// the next fold touches this peer.
-    recs: Recs,
-    height: u8,
-    left: Link<P>,
-    right: Link<P>,
+type Key<P> = (P, TaskId);
+
+#[derive(Debug, Clone)]
+enum Node<P> {
+    /// Records, ascending by key.
+    Leaf(Vec<(Key<P>, TrustRecord)>),
+    /// Children, ascending, each with the first key of its subtree.
+    Inner(Vec<(Key<P>, Arc<Node<P>>)>),
 }
 
-fn height<P>(link: &Link<P>) -> u8 {
-    link.as_ref().map_or(0, |n| n.height)
-}
-
-fn mk<P: Copy>(peer: P, recs: Recs, left: Link<P>, right: Link<P>) -> Arc<Node<P>> {
-    let height = 1 + height(&left).max(height(&right));
-    Arc::new(Node { peer, recs, height, left, right })
-}
-
-/// Rebuilds a node after one child changed, restoring the AVL invariant.
-/// Inserts add at most one level, so the single/double rotations of
-/// textbook AVL insertion are exhaustive (records are never deleted
-/// through the service, so no deletion rebalancing exists).
-fn balance<P: Copy>(peer: P, recs: Recs, left: Link<P>, right: Link<P>) -> Arc<Node<P>> {
-    let (hl, hr) = (height(&left), height(&right));
-    if hl > hr + 1 {
-        let l = left.expect("left height >= 2 implies a left child");
-        if height(&l.left) >= height(&l.right) {
-            // single right rotation
-            let lifted = mk(peer, recs, l.right.clone(), right);
-            mk(l.peer, Arc::clone(&l.recs), l.left.clone(), Some(lifted))
-        } else {
-            // left-right double rotation
-            let lr = l.right.as_ref().expect("left-right case has a left-right child");
-            let new_left = mk(l.peer, Arc::clone(&l.recs), l.left.clone(), lr.left.clone());
-            let new_right = mk(peer, recs, lr.right.clone(), right);
-            mk(lr.peer, Arc::clone(&lr.recs), Some(new_left), Some(new_right))
+impl<P: Copy + Ord> Node<P> {
+    fn first_key(&self) -> Key<P> {
+        match self {
+            Node::Leaf(records) => records[0].0,
+            Node::Inner(children) => children[0].0,
         }
-    } else if hr > hl + 1 {
-        let r = right.expect("right height >= 2 implies a right child");
-        if height(&r.right) >= height(&r.left) {
-            // single left rotation
-            let lifted = mk(peer, recs, left, r.left.clone());
-            mk(r.peer, Arc::clone(&r.recs), Some(lifted), r.right.clone())
-        } else {
-            // right-left double rotation
-            let rl = r.left.as_ref().expect("right-left case has a right-left child");
-            let new_left = mk(peer, recs, left, rl.left.clone());
-            let new_right = mk(r.peer, Arc::clone(&r.recs), rl.right.clone(), r.right.clone());
-            mk(rl.peer, Arc::clone(&rl.recs), Some(new_left), Some(new_right))
+    }
+
+    /// Upserts into this subtree, copying every still-shared node on the
+    /// way down. Returns whether `key` is new and, if this node overflowed,
+    /// the right sibling split off it.
+    fn upsert(&mut self, key: Key<P>, rec: TrustRecord) -> (bool, Option<Arc<Node<P>>>) {
+        match self {
+            Node::Leaf(records) => match records.binary_search_by(|(k, _)| k.cmp(&key)) {
+                Ok(i) => {
+                    records[i].1 = rec;
+                    (false, None)
+                }
+                Err(i) => {
+                    let split = insert_split(records, i, (key, rec));
+                    (true, split.map(|right| Arc::new(Node::Leaf(right))))
+                }
+            },
+            Node::Inner(children) => {
+                // the last child starting at or below `key`; the first
+                // child also takes keys below the whole subtree
+                let i = children.partition_point(|(first, _)| *first <= key).saturating_sub(1);
+                let (first, child) = &mut children[i];
+                *first = (*first).min(key);
+                let (added, split) = Arc::make_mut(child).upsert(key, rec);
+                let split = split.and_then(|sibling| {
+                    let entry = (sibling.first_key(), sibling);
+                    insert_split(children, i + 1, entry).map(|right| Arc::new(Node::Inner(right)))
+                });
+                (added, split)
+            }
         }
-    } else {
-        mk(peer, recs, left, right)
     }
 }
 
-/// Path-copying upsert: returns the new subtree root and whether a new
-/// `(peer, task)` entry was created (as opposed to replaced).
-fn upsert<P: Copy + Ord>(
-    link: &Link<P>,
-    peer: P,
-    task: TaskId,
-    rec: TrustRecord,
-) -> (Arc<Node<P>>, bool) {
-    match link {
-        None => (
-            Arc::new(Node {
-                peer,
-                recs: Arc::new(vec![(task, rec)]),
-                height: 1,
-                left: None,
-                right: None,
-            }),
-            true,
-        ),
-        Some(n) => match peer.cmp(&n.peer) {
-            CmpOrdering::Equal => {
-                let mut recs = (*n.recs).clone();
-                let added = match recs.binary_search_by_key(&task, |&(t, _)| t) {
-                    Ok(i) => {
-                        recs[i].1 = rec;
-                        false
-                    }
-                    Err(i) => {
-                        recs.insert(i, (task, rec));
-                        true
-                    }
-                };
-                (
-                    Arc::new(Node {
-                        peer: n.peer,
-                        recs: Arc::new(recs),
-                        height: n.height,
-                        left: n.left.clone(),
-                        right: n.right.clone(),
-                    }),
-                    added,
-                )
-            }
-            CmpOrdering::Less => {
-                let (new_left, added) = upsert(&n.left, peer, task, rec);
-                (balance(n.peer, Arc::clone(&n.recs), Some(new_left), n.right.clone()), added)
-            }
-            CmpOrdering::Greater => {
-                let (new_right, added) = upsert(&n.right, peer, task, rec);
-                (balance(n.peer, Arc::clone(&n.recs), n.left.clone(), Some(new_right)), added)
-            }
-        },
-    }
+/// Inserts `item` at `at`, growing the node by exactly one slot, and splits
+/// off the upper half once the node overflows [`FANOUT`].
+fn insert_split<T>(items: &mut Vec<T>, at: usize, item: T) -> Option<Vec<T>> {
+    items.reserve_exact(1);
+    items.insert(at, item);
+    (items.len() > FANOUT).then(|| items.split_off(items.len() / 2))
 }
 
 /// The snapshot's record store: cloning is O(1) (the root `Arc`), an
-/// upsert path-copies O(log n) nodes.
+/// upsert is one descent.
 #[derive(Debug, Clone)]
-struct PeerMap<P> {
-    root: Link<P>,
+struct RecordMap<P> {
+    root: Arc<Node<P>>,
     records: usize,
 }
 
-impl<P> Default for PeerMap<P> {
+impl<P> Default for RecordMap<P> {
     fn default() -> Self {
-        PeerMap { root: None, records: 0 }
+        RecordMap { root: Arc::new(Node::Leaf(Vec::new())), records: 0 }
     }
 }
 
-impl<P: Copy + Ord> PeerMap<P> {
-    fn upsert(&mut self, peer: P, task: TaskId, rec: TrustRecord) {
-        let (root, added) = upsert(&self.root, peer, task, rec);
-        self.root = Some(root);
+impl<P: Copy + Ord> RecordMap<P> {
+    fn upsert(&mut self, key: Key<P>, rec: TrustRecord) {
+        let (added, split) = Arc::make_mut(&mut self.root).upsert(key, rec);
+        if let Some(right) = split {
+            let left = Arc::clone(&self.root);
+            let children = vec![(left.first_key(), left), (right.first_key(), right)];
+            self.root = Arc::new(Node::Inner(children));
+        }
         self.records += usize::from(added);
     }
 
-    fn get(&self, peer: P) -> Option<&Recs> {
-        let mut cur = &self.root;
-        while let Some(n) = cur {
-            match peer.cmp(&n.peer) {
-                CmpOrdering::Equal => return Some(&n.recs),
-                CmpOrdering::Less => cur = &n.left,
-                CmpOrdering::Greater => cur = &n.right,
+    fn get(&self, key: Key<P>) -> Option<TrustRecord> {
+        let mut node = &*self.root;
+        loop {
+            match node {
+                Node::Inner(children) => {
+                    let i = children.partition_point(|(first, _)| *first <= key);
+                    node = &children[i.checked_sub(1)?].1;
+                }
+                Node::Leaf(records) => {
+                    let i = records.binary_search_by(|(k, _)| k.cmp(&key)).ok()?;
+                    return Some(records[i].1);
+                }
             }
         }
-        None
     }
 
-    /// In-order (ascending-peer) visit.
-    fn for_each(&self, f: &mut impl FnMut(P, &[(TaskId, TrustRecord)])) {
-        fn walk<P: Copy>(link: &Link<P>, f: &mut impl FnMut(P, &[(TaskId, TrustRecord)])) {
-            if let Some(n) = link {
-                walk(&n.left, f);
-                f(n.peer, &n.recs);
-                walk(&n.right, f);
+    /// In-order (ascending-key) visit.
+    fn for_each(&self, f: &mut impl FnMut(Key<P>, TrustRecord)) {
+        fn walk<P: Copy>(node: &Node<P>, f: &mut impl FnMut(Key<P>, TrustRecord)) {
+            match node {
+                Node::Leaf(records) => records.iter().for_each(|&(key, rec)| f(key, rec)),
+                Node::Inner(children) => children.iter().for_each(|(_, child)| walk(child, f)),
             }
         }
         walk(&self.root, f);
@@ -279,7 +245,7 @@ pub struct ReadSnapshot<P> {
     /// baseline the bounded-staleness check measures lag from.
     folds: u64,
     normalizer: Normalizer,
-    map: PeerMap<P>,
+    map: RecordMap<P>,
 }
 
 impl<P: Copy + Ord> ReadSnapshot<P> {
@@ -302,8 +268,7 @@ impl<P: Copy + Ord> ReadSnapshot<P> {
     /// The record for `(peer, task)` as of [`epoch`](Self::epoch), if any
     /// interaction had happened.
     pub fn record(&self, peer: P, task: TaskId) -> Option<TrustRecord> {
-        let recs = self.map.get(peer)?;
-        recs.binary_search_by_key(&task, |&(t, _)| t).ok().map(|i| recs[i].1)
+        self.map.get((peer, task))
     }
 
     /// Eq. 18 trustworthiness toward `(peer, task)` as of
@@ -315,16 +280,20 @@ impl<P: Copy + Ord> ReadSnapshot<P> {
     /// Peers with at least one record — each exactly once, ascending.
     pub fn known_peers(&self) -> Vec<P> {
         let mut out = Vec::new();
-        self.map.for_each(&mut |peer, _| out.push(peer));
+        self.map.for_each(&mut |(peer, _), _| {
+            if out.last() != Some(&peer) {
+                out.push(peer);
+            }
+        });
         out
     }
 
     /// Every `(peer, record)` pair held for `task`, ascending by peer.
     pub fn task_records(&self, task: TaskId) -> Vec<(P, TrustRecord)> {
         let mut out = Vec::new();
-        self.map.for_each(&mut |peer, recs| {
-            if let Ok(i) = recs.binary_search_by_key(&task, |&(t, _)| t) {
-                out.push((peer, recs[i].1));
+        self.map.for_each(&mut |(peer, t), rec| {
+            if t == task {
+                out.push((peer, rec));
             }
         });
         out
@@ -366,7 +335,7 @@ pub(crate) struct ReplicaSlot<P> {
 
 impl<P: Copy + Ord> ReplicaSlot<P> {
     pub(crate) fn new(normalizer: Normalizer) -> Arc<Self> {
-        let initial = ReadSnapshot { epoch: 0, folds: 0, normalizer, map: PeerMap::default() };
+        let initial = ReadSnapshot { epoch: 0, folds: 0, normalizer, map: RecordMap::default() };
         Arc::new(ReplicaSlot {
             current: Mutex::new(Arc::new(initial)),
             last_fold: AtomicU64::new(0),
@@ -407,7 +376,13 @@ impl<P: Copy + Ord> ReplicaSlot<P> {
 
     fn publish(&self, snapshot: ReadSnapshot<P>) {
         let next = Arc::new(snapshot);
-        *self.current.lock().unwrap_or_else(|e| e.into_inner()) = next;
+        let replaced = {
+            let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
+            std::mem::replace(&mut *current, next)
+        };
+        // dropped after the guard: freeing the nodes only the replaced
+        // snapshot still owned must not hold readers at the lock
+        drop(replaced);
     }
 }
 
@@ -423,7 +398,7 @@ impl<P: Copy + Ord> ReplicaSlot<P> {
 #[derive(Debug)]
 pub(crate) struct Publisher<P> {
     slot: Arc<ReplicaSlot<P>>,
-    map: PeerMap<P>,
+    map: RecordMap<P>,
     normalizer: Normalizer,
     publish_every: u64,
     /// Folds applied since the last publication.
@@ -441,8 +416,8 @@ impl<P: Copy + Ord> Publisher<P> {
         seed: impl FnOnce(&mut dyn FnMut(P, TaskId, TrustRecord)),
     ) -> Self {
         let normalizer = slot.load().normalizer;
-        let mut map = PeerMap::default();
-        seed(&mut |peer, task, rec| map.upsert(peer, task, rec));
+        let mut map = RecordMap::default();
+        seed(&mut |peer, task, rec| map.upsert((peer, task), rec));
         if map.records > 0 {
             slot.publish(ReadSnapshot { epoch: 0, folds: 0, normalizer, map: map.clone() });
         }
@@ -451,7 +426,7 @@ impl<P: Copy + Ord> Publisher<P> {
 
     /// Mirrors one fold receipt into the working copy.
     pub(crate) fn apply(&mut self, receipt: &DelegationReceipt<P>) {
-        self.map.upsert(receipt.trustee, receipt.task, receipt.record);
+        self.map.upsert((receipt.trustee, receipt.task), receipt.record);
     }
 
     /// Called once per non-empty fold, with the epoch the folding drain
@@ -594,74 +569,163 @@ impl<P: Copy + Ord + Hash> ReplicaHandle<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn rec(interactions: u64) -> TrustRecord {
         TrustRecord { interactions, ..TrustRecord::default() }
     }
 
-    #[test]
-    fn peer_map_upserts_and_iterates_sorted() {
-        let mut map: PeerMap<u32> = PeerMap::default();
-        // adversarial order: ascending inserts are the AVL worst case
-        for peer in 0..256u32 {
-            map.upsert(peer, TaskId(0), rec(1));
-        }
-        for peer in (0..256u32).rev() {
-            map.upsert(peer, TaskId(1), rec(2));
-        }
-        assert_eq!(map.records, 512);
-        let mut seen = Vec::new();
-        map.for_each(&mut |peer, recs| {
-            assert_eq!(recs.len(), 2);
-            seen.push(peer);
-        });
-        assert_eq!(seen, (0..256u32).collect::<Vec<_>>());
-        // replacement does not grow the map
-        map.upsert(7, TaskId(0), rec(9));
-        assert_eq!(map.records, 512);
-        assert_eq!(map.get(7).unwrap()[0].1.interactions, 9);
+    fn key(peer: u32, task: u32) -> Key<u32> {
+        (peer, TaskId(task))
     }
 
-    #[test]
-    fn peer_map_stays_balanced() {
-        let mut map: PeerMap<u32> = PeerMap::default();
-        for peer in 0..4096u32 {
-            map.upsert(peer, TaskId(0), rec(1));
-        }
-        fn check<P: Copy>(link: &Link<P>) -> u8 {
-            match link {
-                None => 0,
-                Some(n) => {
-                    let (hl, hr) = (check(&n.left), check(&n.right));
-                    assert!(hl.abs_diff(hr) <= 1, "AVL invariant");
-                    assert_eq!(n.height, 1 + hl.max(hr));
-                    n.height
+    /// The depth of `map`'s leaves, asserting the B+tree invariants: at
+    /// most [`FANOUT`] entries per node, every inner key the first key of
+    /// its child (which also rejects empty non-root nodes), and every leaf
+    /// at one depth.
+    fn depth(map: &RecordMap<u32>) -> usize {
+        fn walk(node: &Node<u32>, at: usize, out: &mut Vec<usize>) {
+            match node {
+                Node::Leaf(records) => {
+                    assert!(records.len() <= FANOUT, "leaf of {} records", records.len());
+                    out.push(at);
+                }
+                Node::Inner(children) => {
+                    assert!((1..=FANOUT).contains(&children.len()), "{} children", children.len());
+                    for (first, child) in children {
+                        assert_eq!(*first, child.first_key());
+                        walk(child, at + 1, out);
+                    }
                 }
             }
         }
-        let h = check(&map.root);
-        // 1.44 * log2(4096) ≈ 18
-        assert!(h <= 18, "height {h} for 4096 keys");
+        let mut leaves = Vec::new();
+        walk(&map.root, 1, &mut leaves);
+        leaves.dedup();
+        assert_eq!(leaves.len(), 1, "leaves at one depth");
+        leaves[0]
+    }
+
+    fn contents(map: &RecordMap<u32>) -> Vec<(Key<u32>, TrustRecord)> {
+        let mut out = Vec::new();
+        map.for_each(&mut |k, r| out.push((k, r)));
+        out
+    }
+
+    #[test]
+    fn record_map_upserts_and_iterates_sorted() {
+        let mut map: RecordMap<u32> = RecordMap::default();
+        assert_eq!(map.get(key(0, 0)), None, "empty map");
+        // both edges of the key space: ascending, then descending inserts
+        for peer in 0..256u32 {
+            map.upsert(key(peer, 0), rec(1));
+        }
+        for peer in (0..256u32).rev() {
+            map.upsert(key(peer, 1), rec(2));
+        }
+        assert_eq!(map.records, 512);
+        let seen: Vec<Key<u32>> = contents(&map).into_iter().map(|(k, _)| k).collect();
+        let want: Vec<Key<u32>> = (0..256u32).flat_map(|p| [key(p, 0), key(p, 1)]).collect();
+        assert_eq!(seen, want);
+        // replacement does not grow the map
+        map.upsert(key(7, 0), rec(9));
+        assert_eq!(map.records, 512);
+        assert_eq!(map.get(key(7, 0)).unwrap().interactions, 9);
+        assert_eq!(map.get(key(7, 2)), None);
+        assert_eq!(map.get(key(256, 0)), None);
+    }
+
+    #[test]
+    fn record_map_stays_balanced() {
+        let mut ascending: RecordMap<u32> = RecordMap::default();
+        let mut scattered: RecordMap<u32> = RecordMap::default();
+        for peer in 0..4096u32 {
+            ascending.upsert(key(peer, 0), rec(1));
+            // a fixed odd multiplier permutes 0..4096
+            scattered.upsert(key(peer.wrapping_mul(2_654_435_761) % 4096, 0), rec(1));
+        }
+        // even splits keep every non-root node at least half full, so 4096
+        // records sit at most four levels deep
+        for map in [&ascending, &scattered] {
+            let depth = depth(map);
+            assert!(depth <= 4, "depth {depth} for 4096 keys");
+        }
     }
 
     #[test]
     fn published_clones_share_structure_with_the_working_copy() {
-        let mut map: PeerMap<u32> = PeerMap::default();
+        let mut map: RecordMap<u32> = RecordMap::default();
         for peer in 0..1024u32 {
-            map.upsert(peer, TaskId(0), rec(1));
+            map.upsert(key(peer, 0), rec(1));
         }
         let published = map.clone();
-        map.upsert(0, TaskId(0), rec(2));
+        map.upsert(key(0, 0), rec(2));
         // the published snapshot still sees the old value...
-        assert_eq!(published.get(0).unwrap()[0].1.interactions, 1);
-        assert_eq!(map.get(0).unwrap()[0].1.interactions, 2);
-        // ...and untouched subtrees are the same allocation
-        let (a, b) = (published.root.as_ref().unwrap(), map.root.as_ref().unwrap());
-        assert!(
-            Arc::ptr_eq(&a.right.clone().unwrap(), &b.right.clone().unwrap())
-                || Arc::ptr_eq(&a.left.clone().unwrap(), &b.left.clone().unwrap()),
-            "one side of the root must be shared after a single-key update"
-        );
+        assert_eq!(published.get(key(0, 0)).unwrap().interactions, 1);
+        assert_eq!(map.get(key(0, 0)).unwrap().interactions, 2);
+        // ...the touched path was copied once, and every other child of
+        // the root is still the same allocation (compared by address: an
+        // `Arc` held here would itself force a copy on the next touch)
+        let children = |m: &RecordMap<u32>| match &*m.root {
+            Node::Inner(children) => children.iter().map(|(_, c)| Arc::as_ptr(c)).collect(),
+            Node::Leaf(_) => Vec::new(),
+        };
+        let (old, new) = (children(&published), children(&map));
+        assert!(old.len() > 1);
+        assert_ne!(old[0], new[0], "touched child is a copy");
+        assert_eq!(old[1..], new[1..]);
+        // a later touch before the next publication edits the copy in place
+        map.upsert(key(1, 0), rec(3));
+        assert_eq!(children(&map), new, "no second copy");
+        assert_eq!(published.get(key(1, 0)).unwrap().interactions, 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random upsert sequences against a `BTreeMap` oracle, with clones
+        /// taken at random points: every clone keeps the state it was taken
+        /// at (copy-on-write isolation), the working copy ends at the
+        /// oracle's final state, and the tree keeps its shape throughout.
+        #[test]
+        fn record_map_matches_a_btreemap_oracle(
+            order in 0u8..4,
+            ops in prop::collection::vec((0u32..1000, 0u32..4, 0u32..100), 0..2500),
+        ) {
+            let n = ops.len() as u32;
+            let keys: Vec<Key<u32>> = ops
+                .iter()
+                .enumerate()
+                .map(|(i, &(peer, task, _))| match order {
+                    0 => key(i as u32 / 3, i as u32 % 3),
+                    1 => key((n - i as u32) / 3, (n - i as u32) % 3),
+                    2 => key(peer, task),
+                    _ => key(peer % 8, task % 2),
+                })
+                .collect();
+            let mut map: RecordMap<u32> = RecordMap::default();
+            let mut oracle: BTreeMap<Key<u32>, TrustRecord> = BTreeMap::new();
+            let mut clones = Vec::new();
+            for (i, (&k, &(_, _, roll))) in keys.iter().zip(&ops).enumerate() {
+                map.upsert(k, rec(i as u64));
+                oracle.insert(k, rec(i as u64));
+                if roll < 3 {
+                    clones.push((map.clone(), oracle.clone()));
+                }
+            }
+            clones.push((map, oracle));
+            for (snapshot, expected) in &clones {
+                let want: Vec<_> = expected.iter().map(|(&k, &r)| (k, r)).collect();
+                prop_assert_eq!(contents(snapshot), want);
+                prop_assert_eq!(snapshot.records, expected.len());
+                for (&k, &r) in expected {
+                    prop_assert_eq!(snapshot.get(k), Some(r));
+                }
+                prop_assert_eq!(snapshot.get(key(1000, 0)), None);
+                depth(snapshot);
+            }
+        }
     }
 
     #[test]
