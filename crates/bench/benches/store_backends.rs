@@ -38,8 +38,9 @@
 //!   must stay within ~3× of `onflush` instead of paying per-frame syncs;
 //! * `service/commit_*` — the async facade priced end to end: four client
 //!   threads build committed delegation sessions and pipeline them through
-//!   `TrustServiceHandle::submit` into the actor's bounded mailbox, which
-//!   drains adjacent commits into `commit_batch` passes. The row carries
+//!   `ShardedTrustServiceHandle::submit` into a one-shard service's
+//!   bounded actor mailbox, which drains adjacent commits into
+//!   `commit_batch` passes. The row carries
 //!   the full wire cost — session construction, channel hops, oneshot
 //!   receipts, usage-log folds — on top of the storage fold, so comparing
 //!   it against `sharded/batched_observe_*` prices the facade itself;
@@ -96,14 +97,12 @@ use siot_core::backend::{BTreeBackend, ShardedBackend, TrustBackend};
 use siot_core::context::Context;
 use siot_core::delegation::{DelegationOutcome, DelegationRequest};
 use siot_core::goal::Goal;
-use siot_core::log_backend::{
-    FsyncPolicy, LogBackend, LogOptions, WriteBehind, DEFAULT_SEGMENT_BYTES,
-};
+use siot_core::log::{FsyncPolicy, LogBackend, LogOptions, WriteBehind, DEFAULT_SEGMENT_BYTES};
 use siot_core::pool::{Dispatch, ObserverPool};
 use siot_core::record::{ForgettingFactors, Observation};
 use siot_core::service::{
     block_on, FleetOptions, FleetTrustHandle, Freshness, RemoteTrustServer,
-    RemoteTrustServiceHandle, ServiceOptions, ShardedTrustService, TrustService,
+    RemoteTrustServiceHandle, ServiceOptions, ShardedTrustService,
 };
 use siot_core::store::{TrustEngine, TrustStore};
 use siot_core::task::{CharacteristicId, Task, TaskId};
@@ -278,7 +277,7 @@ fn bench_workload(c: &mut Criterion, label: &str, n_obs: usize, n_peers: u32) {
             .map(|t| Task::uniform(TaskId(t), [CharacteristicId(0)]).expect("non-empty"))
             .collect();
         b.iter(|| {
-            let service = TrustService::spawn(
+            let service = ShardedTrustService::spawn(
                 TrustEngine::with_backend(ShardedBackend::<u32>::default()),
                 ServiceOptions { mailbox: 4 * SERVICE_PIPELINE, ..ServiceOptions::default() },
             );
@@ -311,9 +310,9 @@ fn bench_workload(c: &mut Criterion, label: &str, n_obs: usize, n_peers: u32) {
                     });
                 }
             });
-            let engine = service.shutdown().expect("clean shutdown");
-            assert_eq!(engine.record_count(), n_obs);
-            black_box(engine.record_count())
+            let engines = service.shutdown().expect("clean shutdown");
+            assert_eq!(engines[0].record_count(), n_obs);
+            black_box(engines[0].record_count())
         })
     });
 
@@ -815,7 +814,7 @@ fn bench_store_backends(c: &mut Criterion) {
                     LogOptions { fsync, compact_every: 0, ..LogOptions::default() },
                 )
                 .expect("bench dir opens");
-                let service = TrustService::spawn(
+                let service = ShardedTrustService::spawn(
                     engine,
                     ServiceOptions { mailbox: 4 * SERVICE_PIPELINE, ..ServiceOptions::default() },
                 );
@@ -848,9 +847,9 @@ fn bench_store_backends(c: &mut Criterion) {
                         });
                     }
                 });
-                let engine = service.shutdown().expect("clean shutdown");
-                assert_eq!(engine.record_count(), N_OBS);
-                black_box(engine.record_count())
+                let engines = service.shutdown().expect("clean shutdown");
+                assert_eq!(engines[0].record_count(), N_OBS);
+                black_box(engines[0].record_count())
             })
         });
         let _ = std::fs::remove_dir_all(&gc_dir);

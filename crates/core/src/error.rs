@@ -34,7 +34,7 @@ pub enum TrustError {
     /// or any damage inside a snapshot (snapshots are written atomically,
     /// so a torn snapshot is real corruption, not a crash artifact). A torn
     /// *tail* frame is recovered from silently — see
-    /// [`LogBackend`](crate::log_backend::LogBackend).
+    /// [`LogBackend`](crate::log::LogBackend).
     Corrupt {
         /// What failed validation (e.g. `"log frame checksum"`).
         what: &'static str,
@@ -53,8 +53,8 @@ pub enum TrustError {
     /// An I/O failure underneath a durable backend (open, append, flush,
     /// fsync, compaction). Carries the rendered `std::io::Error`.
     Io(String),
-    /// The [`TrustService`](crate::service::TrustService) actor behind a
-    /// handle is gone: it was shut down (or its thread exited) before the
+    /// The [`ShardedTrustService`](crate::service::ShardedTrustService)
+    /// actor behind a handle is gone: it was shut down (or its thread exited) before the
     /// request could be served. Work acked before the shutdown is safe;
     /// this request was not accepted.
     ServiceStopped,

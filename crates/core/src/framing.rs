@@ -1,8 +1,8 @@
 //! The length-prefixed CRC-framed byte codec shared by the durable log and
 //! the wire protocol.
 //!
-//! [`log_backend`](crate::log_backend) proved this frame shape on disk
-//! (PR 4's crash-truncation sweep and golden fixture pin it);
+//! [`log`](crate::log) proved this frame shape on disk
+//! (its crash-truncation sweep and golden fixture pin it);
 //! [`service::remote`](crate::service::remote) speaks the same shape over
 //! TCP. One implementation serves both so the codecs cannot drift:
 //!
@@ -27,7 +27,7 @@
 //!   length can drive an allocation.
 //!
 //! Every reader takes an explicit `max_len`: the log's frames are tens of
-//! bytes ([`log_backend`](crate::log_backend) caps at 64 KiB), while a
+//! bytes ([`log`](crate::log) caps at 64 KiB), while a
 //! vectored wire batch legitimately runs to megabytes. A length prefix
 //! above the cap is rejected as garbage without trusting it.
 

@@ -25,22 +25,23 @@
 //! [`backend::ShardedBackend`] for high-peer-count workloads (with the
 //! shard-affine [`pool::ObserverPool`] folding batches through persistent
 //! lane-owning workers, bit-identically to sequential folding), or the
-//! durable [`log_backend::LogBackend`] / [`log_backend::WriteBehind`] —
+//! durable [`log::LogBackend`] / [`log::WriteBehind`] —
 //! an append-only checksummed record log with snapshot compaction and
 //! replay-on-open recovery, so trust state survives restarts. Live
 //! interactions flow through the
 //! [`delegation`] session — `delegate → evaluate → decide → execute` — so
 //! feedback is validated, environment-corrected and counted exactly once;
 //! the engine's free-form mutators remain as a documented raw escape hatch.
-//! For network-facing deployments, [`service::TrustService`] moves the
-//! engine onto an actor thread behind a cloneable async
-//! [`service::TrustServiceHandle`], so many concurrent requesters share one
-//! engine without blocking each other — commits batched per mailbox drain,
-//! shutdown draining and flushing so no acked commit is lost. When one
-//! actor becomes the bottleneck, [`service::ShardedTrustService`] partitions
-//! the engine across N actors by a stable hash of the trustee, behind one
-//! routing [`service::ShardedTrustServiceHandle`] with fan-out/merge
-//! broadcast queries. Either tier can then be **federated**:
+//! For network-facing deployments, one in-process tier serves the engine:
+//! [`service::ShardedTrustService::spawn`] moves it onto an actor thread
+//! behind a cloneable async [`service::ShardedTrustServiceHandle`], so many
+//! concurrent requesters share one engine without blocking each other —
+//! commits batched per mailbox drain, shutdown draining and flushing so no
+//! acked commit is lost. When one actor becomes the bottleneck,
+//! [`service::ShardedTrustService::spawn_sharded`] partitions the engine
+//! across N actors by a stable hash of the trustee, behind the same routing
+//! handle with fan-out/merge broadcast queries. The service can then be
+//! **federated**:
 //! [`service::RemoteTrustServer`] exposes a running service over TCP (CRC-32
 //! framed via the shared [`framing`] codec, every real as its IEEE-754 bits)
 //! and [`service::RemoteTrustServiceHandle`] mirrors the whole handle API
@@ -90,7 +91,6 @@ pub mod framing;
 pub mod goal;
 pub mod infer;
 pub mod log;
-pub mod log_backend;
 pub mod mutuality;
 pub mod policy;
 pub mod pool;
@@ -115,7 +115,7 @@ pub mod prelude {
     pub use crate::evaluate::{net_profit, prefers_delegation, trustee_decision, TrusteeDecision};
     pub use crate::goal::Goal;
     pub use crate::infer::{infer_characteristic, infer_task, Experience};
-    pub use crate::log_backend::{FsyncPolicy, LogBackend, LogKey, LogOptions, WriteBehind};
+    pub use crate::log::{FsyncPolicy, LogBackend, LogKey, LogOptions, WriteBehind};
     pub use crate::mutuality::{ReverseEvaluator, UsageLog};
     pub use crate::policy::{GainOnly, HighestSuccessRate, MaxNetProfit, SelectionPolicy};
     pub use crate::pool::{Dispatch, ObserverPool};
@@ -123,8 +123,7 @@ pub mod prelude {
     pub use crate::service::{
         Cut, DedupWindow, Fault, FaultPlan, FaultProxy, FleetCut, FleetOptions, FleetTrustHandle,
         Freshness, NodeStats, ReadSnapshot, RemoteTrustServer, RemoteTrustServiceHandle,
-        ReplicaHandle, ServiceEndpoint, ServiceOptions, ShardStats, ShardedTrustService,
-        ShardedTrustServiceHandle, TrustService, TrustServiceHandle,
+        ReplicaHandle, ServiceOptions, ShardStats, ShardedTrustService, ShardedTrustServiceHandle,
     };
     pub use crate::store::{DurableTrustStore, TrustEngine, TrustStore};
     pub use crate::task::{CharacteristicId, Task, TaskId};

@@ -100,7 +100,7 @@
 //! `sync_all` covering everything appended since the last barrier. Every
 //! engine-level write API runs a barrier before returning, so the
 //! per-operation durability contract is unchanged — but a batch (a
-//! [`TrustService`](crate::service::TrustService) drain, a
+//! [`ShardedTrustService`](crate::service::ShardedTrustService) drain, a
 //! `commit_batch`, an `observe_batch`) shares **one** fsync across all its
 //! frames, and the service actor acks per-caller receipts only after that
 //! covering fsync returns. Under `Never`/`OnFlush` the barrier is a no-op

@@ -82,7 +82,7 @@ use crate::delegation::{
     EvaluatedDelegation,
 };
 use crate::error::TrustError;
-use crate::log_backend::LogKey;
+use crate::log::LogKey;
 use crate::record::TrustRecord;
 use crate::service::remote::{wire, RemotePending, RemoteTrustServiceHandle, BATCH_CHUNK};
 use crate::service::sharded::{shard_index, Freshness};

@@ -6,69 +6,67 @@
 //! folding observations must not block request threads. The SIoT
 //! trust-management literature treats trust computation as a **shared
 //! service** queried by many autonomous objects at once; this module gives
-//! the engine that shape:
+//! the engine that shape, as one in-process tier:
 //!
 //! ```text
-//! TrustServiceHandle ──┐                         ┌──────────────────────┐
-//! TrustServiceHandle ──┼── bounded MPSC mailbox ─▶  actor thread        │
-//! TrustServiceHandle ──┘   Command<P> / Query<P> │  owns TrustEngine<P,B>│
-//!        (Clone + Send,                          │  drains → commit_batch│
-//!         methods are async fns)                 └──────────────────────┘
+//!                                 ┌── shard 0: actor thread ──────────┐
+//! ShardedTrustServiceHandle ──────┤   bounded MPSC mailbox            │
+//! ShardedTrustServiceHandle ──────┤   owns TrustEngine<P, B>          │
+//!   route(peer) = H(peer) mod N   │   drains → commit_batch           │
+//!   (Clone + Send, async fns)     └── … shard N-1 (N = 1 by default) ─┘
 //! ```
 //!
-//! * A [`TrustService::spawn`] takes **ownership** of an engine over any
-//!   [`TrustBackend`] — including the durable
-//!   [`LogBackend`](crate::log_backend::LogBackend) /
-//!   [`WriteBehind`](crate::log_backend::WriteBehind) — and moves it onto a
-//!   dedicated actor thread.
-//! * [`TrustServiceHandle`] is `Clone + Send`; its methods are `async fn`s
-//!   whose futures are plain [`std::future::Future`]s — no runtime
-//!   required. Drive them with [`block_on`] (re-exported here from the
-//!   vendored `futures` shim) or any executor.
+//! * [`ShardedTrustService::spawn`] takes **ownership** of an engine over
+//!   any [`TrustBackend`] — including the durable
+//!   [`LogBackend`](crate::log::LogBackend) /
+//!   [`WriteBehind`](crate::log::WriteBehind) — and moves it onto a
+//!   dedicated actor thread: the single-actor service is simply the
+//!   one-shard case. [`ShardedTrustService::spawn_sharded`] partitions the
+//!   engine across N independent actors by a stable hash of the trustee
+//!   once one mailbox becomes the serial bottleneck (see [`sharded`]).
+//! * [`ShardedTrustServiceHandle`] is `Clone + Send`; its methods are
+//!   `async fn`s whose futures are plain [`std::future::Future`]s — no
+//!   runtime required. Drive them with [`block_on`] (re-exported here from
+//!   the vendored `futures` shim) or any executor.
 //! * The **delegation session is the wire unit**: a handle
-//!   [`evaluate`](TrustServiceHandle::evaluate)s a
-//!   [`DelegationRequest`] inside the actor, the caller turns the
-//!   [`Decision`] into an
+//!   [`evaluate`](ShardedTrustServiceHandle::evaluate)s a
+//!   [`DelegationRequest`] inside the owning actor, the caller turns the
+//!   [`Decision`](crate::delegation::Decision) into an
 //!   [`ActiveDelegation`](crate::delegation::ActiveDelegation) it finishes
 //!   locally, and the resulting [`CompletedDelegation`] — one-shot and
 //!   pre-validated by construction — travels back through
-//!   [`commit`](TrustServiceHandle::commit).
-//! * The actor **batches the mailbox drain**: adjacent commits in one
+//!   [`commit`](ShardedTrustServiceHandle::commit).
+//! * Each actor **batches the mailbox drain**: adjacent commits in one
 //!   drain fold through a single
 //!   [`commit_batch_receipts`](TrustEngine::commit_batch_receipts) storage
 //!   pass (one shard-routed backend pass, not one lock per wakeup), and
 //!   every caller still gets its own [`DelegationReceipt`]. Queries are
 //!   answered in arrival order, so a caller that awaited its commit ack
 //!   always reads its own write.
-//! * **Graceful shutdown**: [`TrustServiceHandle::shutdown`] (or dropping
-//!   every handle) drains the mailbox, commits everything queued, flushes
-//!   the backend — on a durable engine no acked commit is lost — and only
-//!   then stops. [`TrustService::shutdown`] additionally hands the engine
-//!   back for inspection or reuse.
+//! * **Graceful shutdown**: [`ShardedTrustServiceHandle::shutdown`] (or
+//!   dropping every handle) drains each mailbox, commits everything
+//!   queued, flushes the backend — on a durable engine no acked commit is
+//!   lost — and only then stops. [`ShardedTrustService::shutdown`]
+//!   additionally hands the engines back, in shard order, for inspection
+//!   or reuse.
 //!
 //! Backpressure is by bounded mailbox: once `ServiceOptions::mailbox`
 //! messages are queued, submitting threads block in `send` until the actor
 //! drains — the service sheds load onto its callers instead of growing an
-//! unbounded queue. Saturation is observable: [`TrustServiceHandle::stats`]
-//! reports the live mailbox depth and the drained-commit-batch sizes
-//! ([`ShardStats`]), so callers can see when they are the bottleneck.
-//!
-//! One actor is still one thread. When a single mailbox becomes the serial
-//! bottleneck, the [`sharded`] tier partitions the engine across N
-//! independent actors by a stable hash of the trustee peer —
-//! [`ShardedTrustService::spawn_sharded`] — behind one routing
-//! [`ShardedTrustServiceHandle`] with the same per-peer API plus
-//! fan-out/merge broadcast queries.
+//! unbounded queue. Saturation is observable:
+//! [`ShardedTrustServiceHandle::shard_stats`] reports each actor's live
+//! mailbox depth and drained-commit-batch sizes ([`ShardStats`]), so
+//! callers can see when they are the bottleneck.
 //!
 //! ```
 //! use siot_core::prelude::*;
-//! use siot_core::service::{block_on, ServiceOptions, TrustService};
+//! use siot_core::service::{block_on, ServiceOptions, ShardedTrustService};
 //!
 //! let mut engine: TrustStore<u32> = TrustStore::new();
 //! let task = Task::uniform(TaskId(0), [CharacteristicId(0)]).unwrap();
 //! engine.register_task(task.clone());
 //!
-//! let service = TrustService::spawn(engine, ServiceOptions::default());
+//! let service = ShardedTrustService::spawn(engine, ServiceOptions::default());
 //! let handle = service.handle();
 //!
 //! block_on(async {
@@ -85,13 +83,13 @@
 //!     assert!(handle.trustworthiness(7, task.id()).await.unwrap().unwrap().value() > 0.5);
 //! });
 //!
-//! let engine = service.shutdown().unwrap();
-//! assert_eq!(engine.record_count(), 1);
+//! let engines = service.shutdown().unwrap();
+//! assert_eq!(engines[0].record_count(), 1);
 //! ```
 
 use crate::backend::TrustBackend;
 use crate::delegation::{
-    CompletedDelegation, Decision, DelegationOutcome, DelegationReceipt, DelegationRequest,
+    CompletedDelegation, DelegationOutcome, DelegationReceipt, DelegationRequest,
     EvaluatedDelegation,
 };
 use crate::error::TrustError;
@@ -117,9 +115,7 @@ pub mod sharded;
 pub use fault::{Fault, FaultPlan, FaultProxy};
 pub use fleet::{FleetCut, FleetOptions, FleetTrustHandle, NodeStats};
 pub use futures::executor::block_on;
-pub use remote::{
-    DedupWindow, RemotePending, RemoteTrustServer, RemoteTrustServiceHandle, ServiceEndpoint,
-};
+pub use remote::{DedupWindow, RemotePending, RemoteTrustServer, RemoteTrustServiceHandle};
 pub use replica::{ReadSnapshot, ReplicaHandle};
 pub use sharded::{Freshness, ShardedTrustService, ShardedTrustServiceHandle};
 
@@ -140,13 +136,14 @@ use replica::{Publisher, ReplicaSlot};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cut<T> {
     /// Per-shard drain-cycle counters at the instant each shard answered,
-    /// in shard order. A single-actor service reports one epoch.
+    /// in shard order. A one-shard service reports one epoch.
     pub epochs: Vec<u64>,
     /// The merged answer.
     pub value: T,
 }
 
-/// Construction knobs for a [`TrustService`].
+/// Construction knobs for a [`ShardedTrustService`], applied to each of
+/// its actors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceOptions {
     /// Forgetting factors every commit folds with — engine policy, fixed
@@ -172,15 +169,14 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Saturation counters for one service actor ("shard" because the sharded
-/// tier reports one of these per shard — a plain [`TrustService`] is the
-/// one-shard case).
+/// Saturation counters for one service actor (one shard; a service spawned
+/// with [`ShardedTrustService::spawn`] is the one-shard case).
 ///
-/// Returned by [`TrustServiceHandle::stats`] and, fleet-wide, by
-/// [`ShardedTrustServiceHandle::shard_stats`]. The commit counters are the
-/// actor's own bookkeeping (consistent with the mailbox order at the moment
-/// the stats query was served); `mailbox_depth` is sampled from the live
-/// send counter, so it reflects messages enqueued *after* the query too.
+/// Returned per shard by [`ShardedTrustServiceHandle::shard_stats`]. The
+/// commit counters are the actor's own bookkeeping (consistent with the
+/// mailbox order at the moment the stats query was served);
+/// `mailbox_depth` is sampled from the live send counter, so it reflects
+/// messages enqueued *after* the query too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Messages sent into the mailbox and not yet picked up by the actor —
@@ -280,8 +276,8 @@ enum Command<P> {
     /// Fold one finished session. Batched with adjacent commits per drain.
     Commit { completed: CompletedDelegation<P>, reply: oneshot::Sender<DelegationReceipt<P>> },
     /// Fold a whole pre-built batch of finished sessions in one message:
-    /// the vectored wire unit of [`TrustServiceHandle::submit_batch`] (and
-    /// of the sharded tier's per-shard sub-batches). Joins the drain's
+    /// the vectored wire unit of the router's per-shard sub-batches (see
+    /// [`ShardedTrustServiceHandle::submit_batch`]). Joins the drain's
     /// pending batch, so the shard still runs one
     /// `commit_batch_receipts` storage pass; the receipts come back as one
     /// vector in batch order.
@@ -400,15 +396,11 @@ impl<R> Future for Pending<R> {
     }
 }
 
-/// A cloneable, `Send` handle to a running [`TrustService`] actor.
-///
-/// Every method is an `async fn` (or returns a [`Pending`] future): the
-/// message is sent when the future is first polled — except
-/// [`submit`](Self::submit), which sends eagerly so callers can pipeline —
-/// and the future resolves when the actor replies. All futures are plain
-/// `std` futures; drive them with [`block_on`] or any executor.
+/// The mailbox handle of one shard actor — the per-shard seam the
+/// [`ShardedTrustServiceHandle`] router fans out over. Every method sends
+/// eagerly and returns a [`Pending`] that resolves when the actor replies.
 #[derive(Debug)]
-pub struct TrustServiceHandle<P> {
+pub(crate) struct ShardHandle<P> {
     tx: SyncSender<Message<P>>,
     /// Messages enqueued and not yet picked up by the actor — incremented
     /// before every send, decremented by the actor per message received.
@@ -419,9 +411,9 @@ pub struct TrustServiceHandle<P> {
     slot: Arc<ReplicaSlot<P>>,
 }
 
-impl<P> Clone for TrustServiceHandle<P> {
+impl<P> Clone for ShardHandle<P> {
     fn clone(&self) -> Self {
-        TrustServiceHandle {
+        ShardHandle {
             tx: self.tx.clone(),
             depth: Arc::clone(&self.depth),
             slot: Arc::clone(&self.slot),
@@ -429,7 +421,7 @@ impl<P> Clone for TrustServiceHandle<P> {
     }
 }
 
-impl<P: Copy + Ord> TrustServiceHandle<P> {
+impl<P: Copy + Ord> ShardHandle<P> {
     /// Sends one message, blocking briefly if the mailbox is full.
     fn request<R>(&self, build: impl FnOnce(oneshot::Sender<R>) -> Message<P>) -> Pending<R> {
         let (tx, rx) = oneshot::channel();
@@ -448,130 +440,35 @@ impl<P: Copy + Ord> TrustServiceHandle<P> {
     /// Eagerly submits one finished session for committing and returns the
     /// receipt future — the pipelining primitive: submit a window of
     /// completions first, await the receipts after, and the actor folds
-    /// them in one batched drain. [`commit`](Self::commit) is this plus the
-    /// immediate await.
-    pub fn submit(&self, completed: CompletedDelegation<P>) -> Pending<DelegationReceipt<P>> {
+    /// them in one batched drain.
+    pub(crate) fn submit(
+        &self,
+        completed: CompletedDelegation<P>,
+    ) -> Pending<DelegationReceipt<P>> {
         self.request(|reply| Message::Command(Command::Commit { completed, reply }))
     }
 
     /// Eagerly submits a whole batch of finished sessions as **one**
-    /// message and returns the future of their receipts, in batch order.
-    /// The actor folds the batch through a single
-    /// `commit_batch_receipts` storage pass (merged with whatever else its
-    /// drain finds), so a vectored submission costs one channel hop and one
-    /// oneshot instead of one per session — the wire shape the sharded
-    /// tier's per-shard sub-batches use.
-    ///
-    /// An empty batch resolves immediately with an empty receipt vector —
-    /// no mailbox round trip, and (having nothing to commit) it succeeds
-    /// even after the service stopped.
-    pub fn submit_batch(
+    /// message and returns the future of their receipts, in batch order:
+    /// one channel hop and one oneshot instead of one per session. The
+    /// router never sends an empty batch.
+    pub(crate) fn submit_batch(
         &self,
         batch: Vec<CompletedDelegation<P>>,
     ) -> Pending<Vec<DelegationReceipt<P>>> {
-        if batch.is_empty() {
-            return Pending::ready(Vec::new());
-        }
         self.request(|reply| Message::Command(Command::CommitMany { batch, reply }))
     }
 
-    /// Commits one finished session and resolves to its receipt.
-    pub async fn commit(
-        &self,
-        completed: CompletedDelegation<P>,
-    ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.submit(completed).await
-    }
-
-    /// Runs the §3.3 evaluation of `request` against the service's engine
-    /// (direct record → inference → gated referrals → prior) and resolves
-    /// to the evaluated session.
-    pub async fn evaluate(
-        &self,
-        request: DelegationRequest<P>,
-    ) -> Result<EvaluatedDelegation<P>, TrustError> {
-        self.request(|reply| Message::Query(Query::Evaluate { request, reply })).await
-    }
-
-    /// [`evaluate`](Self::evaluate) carried through to the §3.4 decision.
-    /// The [`Delegate`](Decision::Delegate) arm holds the one-shot
-    /// [`ActiveDelegation`](crate::delegation::ActiveDelegation) the caller
-    /// finishes locally and [`commit`](Self::commit)s back.
-    pub async fn delegate(&self, request: DelegationRequest<P>) -> Result<Decision<P>, TrustError> {
-        Ok(self.evaluate(request).await?.into_decision())
-    }
-
-    /// The whole committed session in one round trip: the actor activates
-    /// `request`, validates `outcome`, and folds it batched with adjacent
-    /// commits. For callers whose delegation decision was already made
-    /// upstream (a coordinator re-materializing reports, a feedback-only
-    /// trustor).
-    pub async fn complete(
-        &self,
-        request: DelegationRequest<P>,
-        outcome: DelegationOutcome,
-    ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.request(|reply| Message::Command(Command::Complete { request, outcome, reply }))
-            .await?
-    }
-
-    /// Registers (or replaces) a task definition in the service's engine —
-    /// inference needs the characteristic weights.
-    pub async fn register_task(&self, task: Task) -> Result<(), TrustError> {
-        self.request(|reply| Message::Command(Command::RegisterTask { task, reply })).await
-    }
-
-    /// Eq. 18 trustworthiness toward `(peer, task)`, `None` without direct
-    /// experience.
-    pub async fn trustworthiness(
-        &self,
-        peer: P,
-        task: TaskId,
-    ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.request(|reply| Message::Query(Query::Trustworthiness { peer, task, reply })).await
-    }
-
-    /// The record for `(peer, task)`, if any interaction happened.
-    pub async fn record(&self, peer: P, task: TaskId) -> Result<Option<TrustRecord>, TrustError> {
-        self.request(|reply| Message::Query(Query::Record { peer, task, reply })).await
-    }
-
-    // ---- the read-replica seam: snapshot reads, bounded staleness ------
-
-    /// The latest published [`ReadSnapshot`] — zero mailbox traffic,
-    /// infallible (the last published state keeps answering after the
-    /// service stopped). See the [`replica`] module docs.
-    pub fn read_snapshot(&self) -> Arc<ReadSnapshot<P>> {
-        self.slot.load()
-    }
-
-    /// A zero-mailbox [`ReplicaHandle`] over this service's snapshots.
-    pub fn replica(&self) -> ReplicaHandle<P> {
-        ReplicaHandle::over(vec![Arc::clone(&self.slot)].into())
-    }
-
-    /// The publication slot — the sharded/remote tiers' access to this
-    /// shard's snapshots.
+    /// The publication slot — the router's and replica tier's access to
+    /// this shard's snapshots.
     pub(crate) fn slot(&self) -> &Arc<ReplicaSlot<P>> {
         &self.slot
     }
 
-    /// [`record`](Self::record) with an explicit [`Freshness`]. Under
-    /// [`Freshness::Snapshot`] the read is served from the latest
-    /// published snapshot while within its staleness bound and falls
-    /// through to a fresh mailbox read otherwise; `Relaxed` and `Aligned`
-    /// are both the ordinary mailbox read on a single actor.
-    pub async fn record_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Option<TrustRecord>, TrustError> {
-        self.record_round_with(peer, task, freshness).await
-    }
-
-    /// The eager send of [`record_with`](Self::record_with) — a snapshot
-    /// hit resolves without any actor round trip.
+    /// The record for `(peer, task)` under `freshness`: a
+    /// [`Freshness::Snapshot`] read within its staleness bound resolves
+    /// from the latest published snapshot without any actor round trip;
+    /// everything else (and a too-stale snapshot) is one mailbox read.
     pub(crate) fn record_round_with(
         &self,
         peer: P,
@@ -586,19 +483,8 @@ impl<P: Copy + Ord> TrustServiceHandle<P> {
         self.request(|reply| Message::Query(Query::Record { peer, task, reply }))
     }
 
-    /// [`trustworthiness`](Self::trustworthiness) with an explicit
-    /// [`Freshness`] — see [`record_with`](Self::record_with).
-    pub async fn trustworthiness_with(
-        &self,
-        peer: P,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.trustworthiness_round_with(peer, task, freshness).await
-    }
-
-    /// The eager send of
-    /// [`trustworthiness_with`](Self::trustworthiness_with).
+    /// Eq. 18 trustworthiness toward `(peer, task)` under `freshness` —
+    /// see [`record_round_with`](Self::record_round_with).
     pub(crate) fn trustworthiness_round_with(
         &self,
         peer: P,
@@ -613,74 +499,15 @@ impl<P: Copy + Ord> TrustServiceHandle<P> {
         self.request(|reply| Message::Query(Query::Trustworthiness { peer, task, reply }))
     }
 
-    /// [`known_peers`](Self::known_peers) with an explicit [`Freshness`]
-    /// — see [`record_with`](Self::record_with).
-    pub async fn known_peers_with(&self, freshness: Freshness) -> Result<Vec<P>, TrustError> {
-        Ok(self.known_peers_round_with(freshness).await?.1)
-    }
-
-    /// The eager epoch-stamped send of
-    /// [`known_peers_with`](Self::known_peers_with).
-    pub(crate) fn known_peers_round_with(&self, freshness: Freshness) -> Pending<(u64, Vec<P>)> {
-        if let Freshness::Snapshot { max_epoch_lag } = freshness {
-            if let Some(snap) = self.slot.fresh_within(max_epoch_lag) {
-                return Pending::ready((snap.epoch(), snap.known_peers()));
-            }
-        }
-        self.known_peers_in(None)
-    }
-
-    /// [`task_records`](Self::task_records) with an explicit
-    /// [`Freshness`] — see [`record_with`](Self::record_with).
-    pub async fn task_records_with(
-        &self,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Result<Vec<(P, TrustRecord)>, TrustError> {
-        Ok(self.task_records_round_with(task, freshness).await?.1)
-    }
-
-    /// The eager epoch-stamped send of
-    /// [`task_records_with`](Self::task_records_with).
-    pub(crate) fn task_records_round_with(
-        &self,
-        task: TaskId,
-        freshness: Freshness,
-    ) -> Pending<(u64, Vec<(P, TrustRecord)>)> {
-        if let Freshness::Snapshot { max_epoch_lag } = freshness {
-            if let Some(snap) = self.slot.fresh_within(max_epoch_lag) {
-                return Pending::ready((snap.epoch(), snap.task_records(task)));
-            }
-        }
-        self.task_records_in(task, None)
-    }
-
-    /// Peers with at least one record — each exactly once, ascending.
-    pub async fn known_peers(&self) -> Result<Vec<P>, TrustError> {
-        Ok(self.known_peers_in(None).await?.1)
-    }
-
-    /// [`Self::known_peers`] with an optional rendezvous, epoch-stamped —
-    /// the sharded tier's aligned fan-out seam and the wire tier's
-    /// epoch source.
-    fn known_peers_in(&self, align: Option<Arc<Rendezvous>>) -> Pending<(u64, Vec<P>)> {
+    /// Every peer with a record on this shard, epoch-stamped, with an
+    /// optional [`Freshness::Aligned`] rendezvous.
+    pub(crate) fn known_peers_in(&self, align: Option<Arc<Rendezvous>>) -> Pending<(u64, Vec<P>)> {
         self.request(|reply| Message::Query(Query::KnownPeers { align, reply }))
     }
 
-    /// Every `(peer, record)` pair held for `task`, ascending by peer —
-    /// one round trip and one consistent snapshot, where a
-    /// [`known_peers`](Self::known_peers)-then-[`record`](Self::record)
-    /// loop would cross the mailbox once per peer and interleave with
-    /// concurrent commits. The shape ranking and fleet-survey callers
-    /// want.
-    pub async fn task_records(&self, task: TaskId) -> Result<Vec<(P, TrustRecord)>, TrustError> {
-        Ok(self.task_records_in(task, None).await?.1)
-    }
-
-    /// [`Self::task_records`] with an optional rendezvous, epoch-stamped —
-    /// the sharded tier's aligned fan-out seam and the wire tier's
-    /// epoch source.
-    fn task_records_in(
+    /// Every `(peer, record)` pair this shard holds for `task`, ascending
+    /// by peer, epoch-stamped — one round trip and one consistent snapshot.
+    pub(crate) fn task_records_in(
         &self,
         task: TaskId,
         align: Option<Arc<Rendezvous>>,
@@ -688,108 +515,48 @@ impl<P: Copy + Ord> TrustServiceHandle<P> {
         self.request(|reply| Message::Query(Query::TaskRecords { task, align, reply }))
     }
 
-    /// The actor's saturation counters: live mailbox depth plus the
-    /// drained-commit-batch bookkeeping. See [`ShardStats`].
-    pub async fn stats(&self) -> Result<ShardStats, TrustError> {
-        self.stats_in().await
-    }
-
-    /// The eager [`Self::stats`] — the sharded tier's fan-out seam.
-    fn stats_in(&self) -> Pending<ShardStats> {
+    /// The actor's saturation counters ([`ShardStats`]).
+    pub(crate) fn stats_in(&self) -> Pending<ShardStats> {
         self.request(|reply| Message::Query(Query::Stats { reply }))
     }
-
-    /// Pushes engine state down to stable storage (see
-    /// [`TrustEngine::flush`]) and resolves once it is down.
-    pub async fn flush(&self) -> Result<(), TrustError> {
-        self.request(|reply| Message::Command(Command::Flush { reply })).await?
-    }
-
-    /// Stops the service gracefully: the actor finishes draining its
-    /// mailbox (every queued commit is folded and acked), flushes the
-    /// backend, then exits — on a durable engine, no acked commit is lost.
-    /// Requests arriving after the drain fail with
-    /// [`TrustError::ServiceStopped`].
-    pub async fn shutdown(&self) -> Result<(), TrustError> {
-        self.request(|reply| Message::Command(Command::Shutdown { reply })).await?
-    }
 }
 
-/// A running trust service: the actor thread owning the engine, plus the
-/// first [`TrustServiceHandle`]. See the [module docs](self).
-#[derive(Debug)]
-pub struct TrustService<P, B = crate::backend::BTreeBackend<P>> {
-    handle: TrustServiceHandle<P>,
-    thread: JoinHandle<TrustEngine<P, B>>,
-}
-
-impl<P, B> TrustService<P, B>
+/// Moves `engine` onto a new actor thread named `name` and returns the
+/// shard's mailbox handle plus the thread, which yields the engine back
+/// once the actor stops (see [`actor`]).
+pub(crate) fn spawn_shard<P, B>(
+    engine: TrustEngine<P, B>,
+    options: ServiceOptions,
+    name: String,
+) -> (ShardHandle<P>, JoinHandle<TrustEngine<P, B>>)
 where
     P: Copy + Ord + Send + Sync + 'static,
     B: TrustBackend<P> + Send + 'static,
 {
-    /// Takes ownership of `engine` and moves it onto a dedicated actor
-    /// thread. Register task definitions before spawning (or via
-    /// [`TrustServiceHandle::register_task`]).
-    pub fn spawn(engine: TrustEngine<P, B>, options: ServiceOptions) -> Self {
-        Self::spawn_named(engine, options, "siot-trust-service".into())
-    }
-
-    /// [`Self::spawn`] with an explicit actor-thread name — the sharded
-    /// tier names each shard's thread after its index.
-    fn spawn_named(engine: TrustEngine<P, B>, options: ServiceOptions, name: String) -> Self {
-        let capacity = options.mailbox.max(1);
-        let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-        let betas = options.betas;
-        let depth = Arc::new(AtomicUsize::new(0));
-        let actor_depth = Arc::clone(&depth);
-        // the replica seam: seed the publisher with the engine's recovered
-        // records (a reopened durable engine serves its state from epoch 0)
-        // and hand the shared slot to both the actor and every handle
-        let slot = ReplicaSlot::new(engine.normalizer());
-        let publisher = Publisher::new(Arc::clone(&slot), options.publish_every, |sink| {
-            engine.for_each_stored_record(sink)
-        });
-        let thread = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || actor(engine, rx, betas, actor_depth, capacity, publisher))
-            .expect("actor thread spawns");
-        TrustService { handle: TrustServiceHandle { tx, depth, slot }, thread }
-    }
-
-    /// A zero-mailbox [`ReplicaHandle`] over this service's published
-    /// snapshots — see the [`replica`] module docs.
-    pub fn read_replica(&self) -> ReplicaHandle<P> {
-        self.handle.replica()
-    }
-
-    /// A new handle to the running actor.
-    pub fn handle(&self) -> TrustServiceHandle<P> {
-        self.handle.clone()
-    }
-
-    /// Gracefully stops the actor ([`TrustServiceHandle::shutdown`]) and
-    /// hands the engine back. If the final durable flush failed, its error
-    /// is returned instead and the engine is dropped — the journal retries
-    /// the flush on drop, and callers that must keep the engine on flush
-    /// failure can `flush().await` through the handle first.
-    pub fn shutdown(self) -> Result<TrustEngine<P, B>, TrustError> {
-        let flushed = block_on(self.handle.shutdown());
-        let engine = self.thread.join().map_err(|_| TrustError::WorkerPanicked)?;
-        match flushed {
-            // a concurrent handle already shut the actor down: the drain
-            // and flush still happened, just acked to someone else
-            Ok(()) | Err(TrustError::ServiceStopped) => Ok(engine),
-            Err(e) => Err(e),
-        }
-    }
+    let capacity = options.mailbox.max(1);
+    let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
+    let betas = options.betas;
+    let depth = Arc::new(AtomicUsize::new(0));
+    let actor_depth = Arc::clone(&depth);
+    // the replica seam: seed the publisher with the engine's recovered
+    // records (a reopened durable engine serves its state from epoch 0)
+    // and hand the shared slot to both the actor and every handle
+    let slot = ReplicaSlot::new(engine.normalizer());
+    let publisher = Publisher::new(Arc::clone(&slot), options.publish_every, |sink| {
+        engine.for_each_stored_record(sink)
+    });
+    let thread = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || actor(engine, rx, betas, actor_depth, capacity, publisher))
+        .expect("actor thread spawns");
+    (ShardHandle { tx, depth, slot }, thread)
 }
 
 /// The actor loop: block on the first message, drain greedily, batch
 /// adjacent commits through one `commit_batch_receipts` pass, answer
 /// queries in arrival order. Exits — flushing first — on shutdown or once
 /// every handle is gone; either way the engine is returned to
-/// [`TrustService::shutdown`]'s `join`.
+/// [`ShardedTrustService::shutdown`]'s `join`.
 fn actor<P: Copy + Ord, B: TrustBackend<P>>(
     mut engine: TrustEngine<P, B>,
     rx: Receiver<Message<P>>,
@@ -987,6 +754,7 @@ mod tests {
     use super::*;
     use crate::backend::ShardedBackend;
     use crate::context::Context;
+    use crate::delegation::Decision;
     use crate::goal::Goal;
     use crate::record::Observation;
     use crate::store::TrustStore;
@@ -1000,12 +768,21 @@ mod tests {
         DelegationRequest::new(peer, t, Goal::ANY, Context::amicable(t.id())).committed()
     }
 
+    /// Stops a one-shard service and hands its single engine back.
+    fn shutdown_one<B: TrustBackend<u32> + Send + 'static>(
+        service: ShardedTrustService<u32, B>,
+    ) -> TrustEngine<u32, B> {
+        let mut engines = service.shutdown().unwrap();
+        assert_eq!(engines.len(), 1, "one shard, one engine");
+        engines.pop().unwrap()
+    }
+
     #[test]
     fn session_lifecycle_over_the_wire() {
         let mut engine: TrustStore<u32> = TrustStore::new();
         let t = task(0);
         engine.register_task(t.clone());
-        let service = TrustService::spawn(engine, ServiceOptions::default());
+        let service = ShardedTrustService::spawn(engine, ServiceOptions::default());
         let handle = service.handle();
 
         block_on(async {
@@ -1031,14 +808,15 @@ mod tests {
             assert_eq!(snapshot[0].1, receipt.record);
         });
 
-        let engine = service.shutdown().unwrap();
+        let engine = shutdown_one(service);
         assert_eq!(engine.record_count(), 1);
         assert_eq!(engine.usage_log(7).responsive, 1);
     }
 
     #[test]
     fn complete_is_one_round_trip_and_validates() {
-        let service = TrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
+        let service =
+            ShardedTrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
         let handle = service.handle();
         let t = task(0);
         block_on(async {
@@ -1057,7 +835,7 @@ mod tests {
             let err = handle.complete(committed_request(3, &t), bad).await.unwrap_err();
             assert!(matches!(err, TrustError::OutOfUnitRange { .. }));
         });
-        let engine = service.shutdown().unwrap();
+        let engine = shutdown_one(service);
         assert_eq!(engine.record(3, t.id()).unwrap().interactions, 1, "invalid outcome not folded");
         assert_eq!(engine.usage_log(3).abusive, 1);
     }
@@ -1080,7 +858,8 @@ mod tests {
             reference.commit(completed, &betas);
         }
 
-        let service = TrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
+        let service =
+            ShardedTrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
         let handle = service.handle();
         let scratch: TrustStore<u32> = TrustStore::new();
         let pending: Vec<_> = outcomes
@@ -1096,7 +875,7 @@ mod tests {
         for p in pending {
             block_on(p).unwrap();
         }
-        let engine = service.shutdown().unwrap();
+        let engine = shutdown_one(service);
         assert_eq!(engine.record_count(), reference.record_count());
         for peer in reference.known_peers() {
             assert_eq!(engine.record(peer, t.id()), reference.record(peer, t.id()));
@@ -1107,7 +886,7 @@ mod tests {
     #[test]
     fn concurrent_handles_commit_through_a_sharded_backend() {
         let engine: TrustEngine<u32, ShardedBackend<u32>> = TrustEngine::new();
-        let service = TrustService::spawn(engine, ServiceOptions::default());
+        let service = ShardedTrustService::spawn(engine, ServiceOptions::default());
         let t = task(0);
         std::thread::scope(|scope| {
             for worker in 0..4u32 {
@@ -1125,17 +904,18 @@ mod tests {
                 });
             }
         });
-        let engine = service.shutdown().unwrap();
+        let engine = shutdown_one(service);
         assert_eq!(engine.record_count(), 200);
         assert_eq!(engine.known_peers().len(), 200);
     }
 
     #[test]
     fn requests_after_shutdown_fail_typed() {
-        let service = TrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
+        let service =
+            ShardedTrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
         let handle = service.handle();
         let spare = handle.clone();
-        let engine = service.shutdown().unwrap();
+        let engine = shutdown_one(service);
         assert_eq!(engine.record_count(), 0);
         block_on(async {
             assert_eq!(spare.known_peers().await.unwrap_err(), TrustError::ServiceStopped);
@@ -1152,20 +932,23 @@ mod tests {
 
     #[test]
     fn dropping_every_handle_stops_the_actor() {
-        let service = TrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
+        let service =
+            ShardedTrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
         let t = task(0);
         let handle = service.handle();
         block_on(handle.complete(committed_request(2, &t), DelegationOutcome::succeeded(0.9, 0.1)))
             .unwrap();
         drop(handle);
-        // TrustService::shutdown still works: its own handle is the last one
-        let engine = service.shutdown().unwrap();
+        // ShardedTrustService::shutdown still works: its own handle is the
+        // last one
+        let engine = shutdown_one(service);
         assert_eq!(engine.record(2, t.id()).unwrap().interactions, 1);
     }
 
     #[test]
     fn register_task_enables_inference_queries() {
-        let service = TrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
+        let service =
+            ShardedTrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
         let handle = service.handle();
         let gps = task(0);
         let image = Task::uniform(TaskId(1), [CharacteristicId(1)]).unwrap();

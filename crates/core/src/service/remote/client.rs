@@ -44,7 +44,7 @@ use crate::delegation::{
 };
 use crate::error::TrustError;
 use crate::framing;
-use crate::log_backend::LogKey;
+use crate::log::LogKey;
 use crate::record::TrustRecord;
 use crate::service::sharded::Freshness;
 use crate::service::{Cut, ShardStats};
@@ -87,14 +87,13 @@ impl Drop for ClientInner {
 }
 
 /// A connected client handle to a [`RemoteTrustServer`]. Mirrors the
-/// local [`TrustServiceHandle`]/[`ShardedTrustServiceHandle`] API; see
+/// local [`ShardedTrustServiceHandle`] API; see
 /// the [module docs](crate::service::remote) for pipelining and failure semantics.
 ///
 /// Cloning is cheap and clones share the connection (and its request-id
 /// space) — hand clones to as many threads as you like.
 ///
 /// [`RemoteTrustServer`]: super::RemoteTrustServer
-/// [`TrustServiceHandle`]: crate::service::TrustServiceHandle
 /// [`ShardedTrustServiceHandle`]: crate::service::ShardedTrustServiceHandle
 #[derive(Debug)]
 pub struct RemoteTrustServiceHandle<P> {
@@ -261,7 +260,7 @@ impl<P: LogKey + Send + 'static> RemoteTrustServiceHandle<P> {
     }
 
     /// Eagerly submits one finished session; mirrors
-    /// [`TrustServiceHandle::submit`](crate::service::TrustServiceHandle::submit).
+    /// [`ShardedTrustServiceHandle::submit`](crate::service::ShardedTrustServiceHandle::submit).
     pub fn submit(&self, completed: CompletedDelegation<P>) -> RemotePending<DelegationReceipt<P>> {
         self.send(Request::Commit(completed), wire::decode_receipt::<P>)
     }
@@ -465,8 +464,8 @@ impl<P: LogKey + Send + 'static> RemoteTrustServiceHandle<P> {
         self.send(Request::TaskRecords(task, freshness), wire::decode_records_cut::<P>).await
     }
 
-    /// Saturation counters, one entry per served shard (a single-actor
-    /// endpoint reports one).
+    /// Saturation counters, one entry per served shard (a one-shard
+    /// service reports one).
     pub async fn shard_stats(&self) -> Result<Vec<ShardStats>, TrustError> {
         self.send(Request::ShardStats, wire::decode_stats).await
     }

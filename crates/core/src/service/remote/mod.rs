@@ -1,5 +1,5 @@
 //! Federated trust over the wire: a TCP transport that exposes any
-//! running [`TrustService`] or [`ShardedTrustService`] to other
+//! running [`ShardedTrustService`] (one shard or many) to other
 //! processes, and a client handle that mirrors the local API.
 //!
 //! The paper's trust engine is a per-trustor state machine; federating a
@@ -7,8 +7,7 @@
 //! evaluations out of) one trustor's engine. This module is that seam:
 //!
 //! - [`RemoteTrustServer`] — binds a listener and serves a
-//!   [`ServiceEndpoint`] (either service tier) to any number of
-//!   connections;
+//!   [`ShardedTrustServiceHandle`] to any number of connections;
 //! - [`RemoteTrustServiceHandle`] — connects, then speaks the same
 //!   `submit`/`evaluate`/`commit`/`known_peers`/… vocabulary as a local
 //!   handle, over plain `std` futures with full pipelining;
@@ -47,8 +46,8 @@
 //! # Ok::<(), siot_core::error::TrustError>(())
 //! ```
 //!
-//! [`TrustService`]: crate::service::TrustService
 //! [`ShardedTrustService`]: crate::service::ShardedTrustService
+//! [`ShardedTrustServiceHandle`]: crate::service::ShardedTrustServiceHandle
 
 mod client;
 mod dedup;
@@ -57,4 +56,4 @@ pub(crate) mod wire;
 
 pub use client::{RemotePending, RemoteTrustServiceHandle, BATCH_CHUNK, DEFAULT_CONNECT_TIMEOUT};
 pub use dedup::{DedupWindow, DEFAULT_DEDUP_BUDGET};
-pub use server::{RemoteTrustServer, ServiceEndpoint};
+pub use server::RemoteTrustServer;

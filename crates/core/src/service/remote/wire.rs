@@ -21,7 +21,7 @@ use crate::delegation::{
 use crate::environment::EnvIndicator;
 use crate::error::TrustError;
 use crate::goal::Goal;
-use crate::log_backend::LogKey;
+use crate::log::LogKey;
 use crate::record::{Observation, TrustRecord};
 use crate::service::sharded::Freshness;
 use crate::service::{Cut, ShardStats};

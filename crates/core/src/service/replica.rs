@@ -59,10 +59,10 @@
 //!
 //! ```
 //! use siot_core::prelude::*;
-//! use siot_core::service::{block_on, Freshness, ServiceOptions, TrustService};
+//! use siot_core::service::{block_on, ServiceOptions, ShardedTrustService};
 //!
 //! let task = Task::uniform(TaskId(0), [CharacteristicId(0)]).unwrap();
-//! let service = TrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
+//! let service = ShardedTrustService::spawn(TrustStore::<u32>::new(), ServiceOptions::default());
 //! let handle = service.handle();
 //! let replica = handle.replica();
 //!
@@ -475,14 +475,13 @@ impl<P: Copy + Ord> Publisher<P> {
 /// actors nothing and keep answering (from the last published state) even
 /// while shards are saturated, reconnecting, or stopped.
 ///
-/// Obtained from [`TrustServiceHandle::replica`] (one shard) or
-/// [`ShardedTrustServiceHandle::replica`] (one slot per shard). All
+/// Obtained from [`ShardedTrustServiceHandle::replica`] (one slot per
+/// shard). All
 /// methods are synchronous — there is nothing to await. For reads with an
 /// explicit staleness *bound* (fall through to a fresh mailbox read when
 /// too stale), use [`Freshness::Snapshot`] on the ordinary handles
 /// instead.
 ///
-/// [`TrustServiceHandle::replica`]: super::TrustServiceHandle::replica
 /// [`ShardedTrustServiceHandle::replica`]: super::ShardedTrustServiceHandle::replica
 /// [`Freshness::Snapshot`]: super::Freshness::Snapshot
 #[derive(Debug)]

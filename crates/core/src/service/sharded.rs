@@ -1,10 +1,10 @@
-//! The sharded service tier: N independent trust actors behind one
-//! routing handle.
+//! The in-process service tier: N independent trust actors behind one
+//! routing handle, with the single actor as the `N = 1` case.
 //!
-//! A single [`TrustService`] actor serializes every commit through one
-//! mailbox — correct, but a bottleneck once many requesters report
-//! concurrently. [`ShardedTrustService::spawn_sharded`] partitions the
-//! engine instead: N actor threads, each owning its **own**
+//! One actor ([`ShardedTrustService::spawn`]) serializes every commit
+//! through one mailbox — correct, but a bottleneck once many requesters
+//! report concurrently. [`ShardedTrustService::spawn_sharded`] partitions
+//! the engine instead: N actor threads, each owning its **own**
 //! [`TrustEngine`] over its own backend (durable ones included — see
 //! [`TrustEngine::open_shard`] for per-shard journal directories), with
 //! peers assigned to shards by a stable hash of the trustee.
@@ -107,8 +107,8 @@
 //! ```
 
 use super::{
-    Command, Cut, Message, Pending, Rendezvous, ServiceOptions, ShardStats, TrustService,
-    TrustServiceHandle,
+    spawn_shard, Command, Cut, Message, Pending, Query, Rendezvous, ServiceOptions, ShardHandle,
+    ShardStats,
 };
 use crate::backend::TrustBackend;
 use crate::delegation::{
@@ -126,11 +126,12 @@ use std::hash::{Hash, Hasher};
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
+use std::thread::JoinHandle;
 
 /// The explicit per-query consistency choice, for broadcast *and*
-/// peer-targeted reads across every serving tier (in-process, sharded,
-/// remote, fleet). **These variant docs are the normative statement of
-/// the guarantees** — the tier docs reference them rather than restating.
+/// peer-targeted reads across every serving tier (in-process, remote,
+/// fleet). **These variant docs are the normative statement of the
+/// guarantees** — the tier docs reference them rather than restating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Freshness {
     /// One mailbox round per shard involved, fanned out in parallel for
@@ -144,8 +145,8 @@ pub enum Freshness {
     /// nothing mutating — and answer from the same instant, so the merge
     /// is a state that actually existed. Holds every shard for a barrier;
     /// reserve it for audits and rankings that need cross-shard
-    /// exactness. On a single actor (or a peer-targeted read) it is the
-    /// same mailbox round as `Relaxed`.
+    /// exactness. On a one-shard service (or a peer-targeted read) it is
+    /// the same mailbox round as `Relaxed`.
     Aligned,
     /// A **bounded-staleness snapshot read**: answered from the shard's
     /// latest published [`ReadSnapshot`](super::ReadSnapshot) — zero
@@ -190,12 +191,14 @@ pub(crate) fn shard_index<P: Hash>(peer: &P, n: usize) -> usize {
 }
 
 /// A cloneable, `Send` routing handle over every shard of a
-/// [`ShardedTrustService`] — same per-peer API as [`TrustServiceHandle`],
-/// plus fan-out/merge broadcasts. See the [module docs](self) for the
-/// routing rule and the consistency story.
+/// [`ShardedTrustService`]: peer-targeted calls go to the owning shard,
+/// broadcasts fan out and merge. Every method is an `async fn` (or returns
+/// an eagerly-sent future); drive them with
+/// [`block_on`](super::block_on) or any executor. See the
+/// [module docs](self) for the routing rule and the consistency story.
 #[derive(Debug)]
 pub struct ShardedTrustServiceHandle<P> {
-    shards: Arc<[TrustServiceHandle<P>]>,
+    shards: Arc<[ShardHandle<P>]>,
     /// Serializes [`Freshness::Aligned`] send-rounds across handle clones:
     /// two concurrent rendezvous enqueued in different per-shard orders
     /// would deadlock (shard 0 standing in rendezvous A while shard 1
@@ -213,6 +216,12 @@ impl<P> Clone for ShardedTrustServiceHandle<P> {
     }
 }
 
+impl<P> ShardedTrustServiceHandle<P> {
+    fn over(shards: Arc<[ShardHandle<P>]>) -> Self {
+        ShardedTrustServiceHandle { shards, aligner: Arc::new(Mutex::new(())) }
+    }
+}
+
 impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
     /// How many shards this handle routes over.
     pub fn shard_count(&self) -> usize {
@@ -226,15 +235,17 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
         shard_index(&peer, self.shards.len())
     }
 
-    fn shard(&self, peer: P) -> &TrustServiceHandle<P> {
+    fn shard(&self, peer: P) -> &ShardHandle<P> {
         &self.shards[self.shard_of(peer)]
     }
 
     // ---- peer-targeted: route to the owning shard, never cross ---------
 
     /// Eagerly submits one finished session to its owning shard and
-    /// returns the receipt future — pipelines exactly like
-    /// [`TrustServiceHandle::submit`].
+    /// returns the receipt future — the pipelining primitive: submit a
+    /// window of completions first, await the receipts after, and each
+    /// actor folds its share in one batched drain. [`commit`](Self::commit)
+    /// is this plus the immediate await.
     pub fn submit(&self, completed: CompletedDelegation<P>) -> Pending<DelegationReceipt<P>> {
         self.shard(completed.trustee()).submit(completed)
     }
@@ -302,7 +313,7 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
         &self,
         request: DelegationRequest<P>,
     ) -> Result<EvaluatedDelegation<P>, TrustError> {
-        self.shard(request.trustee()).evaluate(request).await
+        self.evaluate_round(request).await
     }
 
     /// The eager send of [`evaluate`](Self::evaluate) — the wire server
@@ -314,7 +325,7 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
         request: DelegationRequest<P>,
     ) -> Pending<EvaluatedDelegation<P>> {
         let shard = self.shard(request.trustee());
-        shard.request(|reply| Message::Query(super::Query::Evaluate { request, reply }))
+        shard.request(|reply| Message::Query(Query::Evaluate { request, reply }))
     }
 
     /// The eager send of [`complete`](Self::complete).
@@ -382,31 +393,39 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
     }
 
     /// [`evaluate`](Self::evaluate) carried through to the §3.4 decision.
+    /// The [`Delegate`](Decision::Delegate) arm holds the one-shot
+    /// [`ActiveDelegation`](crate::delegation::ActiveDelegation) the caller
+    /// finishes locally and [`commit`](Self::commit)s back.
     pub async fn delegate(&self, request: DelegationRequest<P>) -> Result<Decision<P>, TrustError> {
-        self.shard(request.trustee()).delegate(request).await
+        Ok(self.evaluate(request).await?.into_decision())
     }
 
-    /// The whole committed session in one round trip to the owning shard.
+    /// The whole committed session in one round trip to the owning shard:
+    /// the actor activates `request`, validates `outcome`, and folds it
+    /// batched with adjacent commits. For callers whose delegation decision
+    /// was already made upstream (a coordinator re-materializing reports, a
+    /// feedback-only trustor).
     pub async fn complete(
         &self,
         request: DelegationRequest<P>,
         outcome: DelegationOutcome,
     ) -> Result<DelegationReceipt<P>, TrustError> {
-        self.shard(request.trustee()).complete(request, outcome).await
+        self.complete_round(request, outcome).await?
     }
 
-    /// Eq. 18 trustworthiness toward `(peer, task)` from the owning shard.
+    /// Eq. 18 trustworthiness toward `(peer, task)` from the owning shard,
+    /// `None` without direct experience.
     pub async fn trustworthiness(
         &self,
         peer: P,
         task: TaskId,
     ) -> Result<Option<Trustworthiness>, TrustError> {
-        self.shard(peer).trustworthiness(peer, task).await
+        self.trustworthiness_round_with(peer, task, Freshness::Relaxed).await
     }
 
     /// The record for `(peer, task)` from the owning shard.
     pub async fn record(&self, peer: P, task: TaskId) -> Result<Option<TrustRecord>, TrustError> {
-        self.shard(peer).record(peer, task).await
+        self.record_round_with(peer, task, Freshness::Relaxed).await
     }
 
     // ---- broadcasts: fan out to every shard, merge ---------------------
@@ -586,7 +605,7 @@ impl<P: Copy + Ord + Hash> ShardedTrustServiceHandle<P> {
     fn broadcast<R>(
         &self,
         freshness: Freshness,
-        mut send: impl FnMut(&TrustServiceHandle<P>, Option<Arc<Rendezvous>>) -> Pending<R>,
+        mut send: impl FnMut(&ShardHandle<P>, Option<Arc<Rendezvous>>) -> Pending<R>,
         mut snap: impl FnMut(&super::ReadSnapshot<P>) -> R,
     ) -> FanOut<R> {
         match freshness {
@@ -706,11 +725,14 @@ impl<R> Drop for FanOut<R> {
     }
 }
 
-/// A running sharded trust service: the N shard actors plus the first
-/// routing handle. See the [module docs](self).
+/// A running trust service: the N shard actors (one, when spawned with
+/// [`spawn`](Self::spawn)) plus the first routing handle. See the
+/// [module docs](self).
 #[derive(Debug)]
 pub struct ShardedTrustService<P, B = crate::backend::BTreeBackend<P>> {
-    services: Vec<TrustService<P, B>>,
+    /// Each shard's actor thread, in shard order; joining one hands its
+    /// engine back.
+    actors: Vec<JoinHandle<TrustEngine<P, B>>>,
     handle: ShardedTrustServiceHandle<P>,
 }
 
@@ -719,6 +741,16 @@ where
     P: Copy + Ord + Hash + Send + Sync + 'static,
     B: TrustBackend<P> + Send + 'static,
 {
+    /// Takes ownership of `engine` and moves it onto one dedicated actor
+    /// thread — the single-actor service, i.e. the one-shard case of
+    /// [`spawn_sharded`](Self::spawn_sharded). Register task definitions
+    /// before spawning (or via
+    /// [`register_task`](ShardedTrustServiceHandle::register_task)).
+    pub fn spawn(engine: TrustEngine<P, B>, options: ServiceOptions) -> Self {
+        let mut engine = Some(engine);
+        Self::spawn_sharded(1, options, |_| engine.take().expect("one shard, one engine"))
+    }
+
     /// Spawns `shards.max(1)` independent actors, each owning the engine
     /// `make_engine(shard)` builds for it. Build per-shard state inside
     /// the closure — for the durable case, one journal directory per shard
@@ -746,31 +778,23 @@ where
         mut make_engine: impl FnMut(usize) -> Result<TrustEngine<P, B>, TrustError>,
     ) -> Result<Self, TrustError> {
         let shards = shards.max(1);
-        let mut services = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards);
+        let mut actors = Vec::with_capacity(shards);
         for shard in 0..shards {
             match make_engine(shard) {
-                Ok(engine) => services.push(TrustService::spawn_named(
-                    engine,
-                    options,
-                    format!("siot-trust-shard-{shard}"),
-                )),
+                Ok(engine) => {
+                    let (handle, actor) =
+                        spawn_shard(engine, options, format!("siot-trust-shard-{shard}"));
+                    handles.push(handle);
+                    actors.push(actor);
+                }
                 Err(e) => {
-                    for service in services {
-                        let _ = service.shutdown();
-                    }
+                    let _ = stop_and_join(&ShardedTrustServiceHandle::over(handles.into()), actors);
                     return Err(e);
                 }
             }
         }
-        let handles: Arc<[TrustServiceHandle<P>]> =
-            services.iter().map(|service| service.handle()).collect();
-        Ok(ShardedTrustService {
-            services,
-            handle: ShardedTrustServiceHandle {
-                shards: handles,
-                aligner: Arc::new(Mutex::new(())),
-            },
-        })
+        Ok(ShardedTrustService { actors, handle: ShardedTrustServiceHandle::over(handles.into()) })
     }
 
     /// A new routing handle over all shards.
@@ -780,14 +804,15 @@ where
 
     /// How many shard actors are running.
     pub fn shard_count(&self) -> usize {
-        self.services.len()
+        self.actors.len()
     }
 
-    /// A direct handle to one shard's actor — an escape hatch for tests
-    /// and diagnostics (e.g. stopping a single shard to exercise degraded
-    /// broadcasts). Routine traffic goes through [`handle`](Self::handle).
-    pub fn shard_handle(&self, shard: usize) -> TrustServiceHandle<P> {
-        self.services[shard].handle()
+    /// A one-shard view of shard `shard`'s actor — an escape hatch for
+    /// tests and diagnostics (e.g. stopping a single shard to exercise
+    /// degraded broadcasts). Routine traffic goes through
+    /// [`handle`](Self::handle).
+    pub fn shard_handle(&self, shard: usize) -> ShardedTrustServiceHandle<P> {
+        ShardedTrustServiceHandle::over(Arc::from([self.handle.shards[shard].clone()]))
     }
 
     /// Gracefully stops every shard and hands the engines back in shard
@@ -797,25 +822,29 @@ where
     /// whose final flush failed, that error is returned (remaining engines
     /// are dropped, their journals flushing on drop as usual).
     pub fn shutdown(self) -> Result<Vec<TrustEngine<P, B>>, TrustError> {
-        let stops: Vec<Pending<Result<(), TrustError>>> = self
-            .handle
-            .shards
-            .iter()
-            .map(|shard| shard.request(|reply| Message::Command(Command::Shutdown { reply })))
-            .collect();
-        let mut engines = Vec::with_capacity(self.services.len());
-        for (service, stop) in self.services.into_iter().zip(stops) {
-            let flushed = super::block_on(stop);
-            let engine = service.thread.join().map_err(|_| TrustError::WorkerPanicked)?;
-            match flushed {
-                // ServiceStopped: a concurrent handle already stopped this
-                // shard — the drain and flush still happened
-                Ok(Ok(())) | Err(TrustError::ServiceStopped) => engines.push(engine),
-                Ok(Err(e)) | Err(e) => return Err(e),
-            }
-        }
-        Ok(engines)
+        stop_and_join(&self.handle, self.actors)
     }
+}
+
+/// Sends every shard its stop message, then joins the actors in shard
+/// order and collects their engines. A shard another handle already
+/// stopped still counts as success — its drain and flush happened, just
+/// acked to someone else.
+fn stop_and_join<P: Copy + Ord + Hash, B>(
+    router: &ShardedTrustServiceHandle<P>,
+    actors: Vec<JoinHandle<TrustEngine<P, B>>>,
+) -> Result<Vec<TrustEngine<P, B>>, TrustError> {
+    let stops = router.shutdown_round();
+    let mut engines = Vec::with_capacity(actors.len());
+    for (actor, stop) in actors.into_iter().zip(stops) {
+        let flushed = super::block_on(stop);
+        let engine = actor.join().map_err(|_| TrustError::WorkerPanicked)?;
+        match flushed {
+            Ok(Ok(())) | Err(TrustError::ServiceStopped) => engines.push(engine),
+            Ok(Err(e)) | Err(e) => return Err(e),
+        }
+    }
+    Ok(engines)
 }
 
 #[cfg(test)]
@@ -886,6 +915,27 @@ mod tests {
             handle.commit(completed(3, 0.8)).await.unwrap();
             assert_eq!(handle.known_peers().await.unwrap(), vec![3]);
             assert!(handle.trustworthiness(3, TaskId(0)).await.unwrap().is_some());
+
+            // one shard answers alike under every freshness: Aligned is a
+            // one-party rendezvous, and Snapshot { 0 } hits the snapshot
+            // published before the awaited commit's ack
+            let record = handle.record(3, TaskId(0)).await.unwrap();
+            let tw = handle.trustworthiness(3, TaskId(0)).await.unwrap();
+            assert!(record.is_some());
+            for freshness in [Freshness::Relaxed, Freshness::Aligned, Freshness::snapshot(0)] {
+                let peers = handle.known_peers_cut(freshness).await.unwrap();
+                assert_eq!(peers.epochs.len(), 1, "{freshness:?}");
+                assert_eq!(peers.value, vec![3], "{freshness:?}");
+                let records = handle.task_records_cut(TaskId(0), freshness).await.unwrap();
+                assert_eq!(records.epochs.len(), 1, "{freshness:?}");
+                assert_eq!(records.value, vec![(3, record.unwrap())], "{freshness:?}");
+                assert_eq!(handle.record_with(3, TaskId(0), freshness).await.unwrap(), record);
+                assert_eq!(
+                    handle.trustworthiness_with(3, TaskId(0), freshness).await.unwrap(),
+                    tw,
+                    "{freshness:?}"
+                );
+            }
         });
         let engines = service.shutdown().unwrap();
         assert_eq!(engines.len(), 1);

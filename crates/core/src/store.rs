@@ -34,7 +34,7 @@ use crate::environment::{remove_influence, update_with_environment, EnvIndicator
 use crate::error::TrustError;
 use crate::goal::Goal;
 use crate::infer::{infer_task, Experience};
-use crate::log_backend::{LogBackend, LogKey, LogOptions};
+use crate::log::{LogBackend, LogKey, LogOptions};
 use crate::mutuality::UsageLog;
 use crate::record::{ForgettingFactors, Observation, TrustRecord};
 use crate::task::{Task, TaskId};
@@ -92,7 +92,7 @@ impl<P: Copy + Ord, B: TrustBackend<P>> TrustEngine<P, B> {
 
     /// Mutable access to the storage backend — raw layer, for storage
     /// plumbing a generic engine cannot express (e.g. compacting a
-    /// [`WriteBehind`](crate::log_backend::WriteBehind) ledger). Mutating
+    /// [`WriteBehind`](crate::log::WriteBehind) ledger). Mutating
     /// records through it bypasses validation and usage-log bookkeeping;
     /// live interactions go through [sessions](Self::delegate).
     pub fn backend_mut(&mut self) -> &mut B {
@@ -202,7 +202,8 @@ impl<P: Copy + Ord, B: TrustBackend<P>> TrustEngine<P, B> {
 
     /// [`Self::commit_batch`] that also returns one [`DelegationReceipt`]
     /// per committed session, in batch order — the shape a
-    /// [`TrustService`](crate::service::TrustService) actor needs to ack
+    /// [`ShardedTrustService`](crate::service::ShardedTrustService) actor
+    /// needs to ack
     /// every caller of a drained mailbox from a single storage pass.
     /// State-wise identical to `commit_batch` (and to committing each
     /// element in order).

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
 use siot_core::environment::EnvIndicator;
-use siot_core::log_backend::{LogBackend, WriteBehind};
+use siot_core::log::{LogBackend, WriteBehind};
 use siot_core::prelude::*;
 use siot_core::service::block_on;
 

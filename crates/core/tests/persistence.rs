@@ -5,7 +5,7 @@
 //! the pinned golden on-disk format, and delegation-lifecycle durability.
 
 use siot_core::error::TrustError;
-use siot_core::log_backend::{
+use siot_core::log::{
     segment_file_name, FsyncPolicy, LogOptions, FORMAT_VERSION, LEGACY_FORMAT_VERSION, LOG_FILE,
     MANIFEST_FILE, SNAP_FILE,
 };

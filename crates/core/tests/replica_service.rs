@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use siot_core::environment::EnvIndicator;
-use siot_core::log_backend::WriteBehind;
+use siot_core::log::WriteBehind;
 use siot_core::prelude::*;
 use siot_core::service::block_on;
 
@@ -257,15 +257,16 @@ proptest! {
 /// changes the lag.
 #[test]
 fn staleness_bound_honored_and_too_stale_falls_through() {
-    let service = TrustService::spawn(
+    let service = ShardedTrustService::spawn(
         TrustStore::<u32>::new(),
         ServiceOptions { publish_every: 3, ..ServiceOptions::default() },
     );
     let handle = service.handle();
+    let published_epoch = || block_on(handle.shard_stats()).expect("stats")[0].published_epoch;
 
     // commit 1: one mutating drain, below the publish threshold
     block_on(handle.submit(completed_for(7))).expect("commit 1");
-    assert_eq!(block_on(handle.stats()).expect("stats").published_epoch, 0);
+    assert_eq!(published_epoch(), 0);
     // lag 1 ≤ 16: the (empty, epoch-0) snapshot answers
     assert_eq!(
         block_on(handle.record_with(7, TaskId(0), Freshness::snapshot(16))).expect("read"),
@@ -278,11 +279,11 @@ fn staleness_bound_honored_and_too_stale_falls_through() {
         .expect("fall-through sees the commit");
     assert_eq!(fresh.interactions, 1);
     // read-only traffic advances neither the fold epoch nor the snapshot
-    assert_eq!(block_on(handle.stats()).expect("stats").published_epoch, 0);
+    assert_eq!(published_epoch(), 0);
 
     // commit 2: lag is now exactly 2
     block_on(handle.submit(completed_for(7))).expect("commit 2");
-    assert_eq!(block_on(handle.stats()).expect("stats").published_epoch, 0);
+    assert_eq!(published_epoch(), 0);
     assert_eq!(
         block_on(handle.record_with(7, TaskId(0), Freshness::snapshot(2))).expect("read"),
         None,
@@ -298,10 +299,10 @@ fn staleness_bound_honored_and_too_stale_falls_through() {
 
     // commit 3: the third mutating drain publishes — lag snaps to 0
     block_on(handle.submit(completed_for(7))).expect("commit 3");
-    let stats = block_on(handle.stats()).expect("stats");
-    assert!(stats.published_epoch > 0, "third mutating drain published");
-    let snap = handle.read_snapshot();
-    assert_eq!(snap.epoch(), stats.published_epoch);
+    let published = published_epoch();
+    assert!(published > 0, "third mutating drain published");
+    let snap = handle.replica().snapshots().remove(0);
+    assert_eq!(snap.epoch(), published);
     assert_eq!(snap.record(7, TaskId(0)).expect("published").interactions, 3);
     assert_eq!(
         block_on(handle.record_with(7, TaskId(0), Freshness::snapshot(0)))
@@ -321,24 +322,25 @@ fn staleness_bound_honored_and_too_stale_falls_through() {
 /// successive grabs.
 #[test]
 fn readers_never_observe_a_torn_snapshot() {
-    let service = TrustService::spawn(
+    let service = ShardedTrustService::spawn(
         TrustStore::<u32>::new(),
         ServiceOptions { mailbox: 8, ..ServiceOptions::default() },
     );
     let handle = service.handle();
+    let replica = handle.replica();
     let stop = Arc::new(AtomicBool::new(false));
     let commits_per_peer = 80u64;
     let peers: Vec<u32> = (0..6).collect();
 
     std::thread::scope(|scope| {
         for _ in 0..3 {
-            let handle = handle.clone();
+            let replica = replica.clone();
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut last_seen = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let snap = handle.read_snapshot();
+                    let snap = replica.snapshots().remove(0);
                     let epoch = snap.epoch();
                     assert!(epoch >= last_epoch, "published epochs never run backwards");
                     let known = snap.known_peers();
@@ -373,7 +375,7 @@ fn readers_never_observe_a_torn_snapshot() {
     });
 
     // after the last awaited commit the published snapshot is the state
-    let snap = handle.read_snapshot();
+    let snap = replica.snapshots().remove(0);
     assert_eq!(snap.known_peers(), peers);
     for &p in &peers {
         assert_eq!(snap.record(p, TaskId(0)).expect("present").interactions, commits_per_peer);

@@ -1,13 +1,14 @@
-//! Integration tests for the `TrustService` facade: concurrent handle
-//! commits are bit-identical to the sequential `commit_batch` fold, and
-//! graceful shutdown loses no acked commit on a durable backend.
+//! Integration tests for the single-actor service (`ShardedTrustService`
+//! with one shard): concurrent handle commits are bit-identical to the
+//! sequential `commit_batch` fold, and graceful shutdown loses no acked
+//! commit on a durable backend.
 
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
 use siot_core::environment::EnvIndicator;
-use siot_core::log_backend::{FsyncPolicy, LogOptions, WriteBehind};
+use siot_core::log::{FsyncPolicy, LogOptions, WriteBehind};
 use siot_core::prelude::*;
-use siot_core::service::{block_on, ServiceOptions, TrustService};
+use siot_core::service::{block_on, ServiceOptions};
 
 mod common;
 use common::tmpdir;
@@ -61,6 +62,15 @@ fn completed(worker: usize, step: &Step) -> CompletedDelegation<u32> {
     request.committed().activate(&scratch).finish(outcome).expect("generated in-range")
 }
 
+/// Stops a one-shard service and hands its single engine back.
+fn shutdown_one<B: TrustBackend<u32> + Send + 'static>(
+    service: ShardedTrustService<u32, B>,
+) -> TrustEngine<u32, B> {
+    let mut engines = service.shutdown().expect("clean shutdown");
+    assert_eq!(engines.len(), 1, "one shard, one engine");
+    engines.pop().expect("one engine")
+}
+
 /// Plays every worker stream concurrently through handle clones
 /// (pipelined submits, receipts awaited at the end) and returns the
 /// engine the shutdown hands back.
@@ -70,8 +80,10 @@ fn run_concurrent<B: TrustBackend<u32> + Send + 'static>(
 ) -> TrustEngine<u32, B> {
     // a deliberately small mailbox so the streams exercise backpressure
     // and multi-drain batching, not one giant drain
-    let service =
-        TrustService::spawn(engine, ServiceOptions { mailbox: 8, ..ServiceOptions::default() });
+    let service = ShardedTrustService::spawn(
+        engine,
+        ServiceOptions { mailbox: 8, ..ServiceOptions::default() },
+    );
     std::thread::scope(|scope| {
         for (worker, stream) in streams.iter().enumerate() {
             let handle = service.handle();
@@ -84,7 +96,7 @@ fn run_concurrent<B: TrustBackend<u32> + Send + 'static>(
             });
         }
     });
-    service.shutdown().expect("clean shutdown")
+    shutdown_one(service)
 }
 
 /// The reference: the same commits applied sequentially via
@@ -160,7 +172,7 @@ fn shutdown_drains_queued_commits_and_flushes_durably() {
     let n = 300usize;
     {
         let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("fresh dir opens");
-        let service = TrustService::spawn(
+        let service = ShardedTrustService::spawn(
             engine,
             ServiceOptions { mailbox: 16, ..ServiceOptions::default() },
         );
@@ -174,7 +186,7 @@ fn shutdown_drains_queued_commits_and_flushes_durably() {
             .collect();
         // …then shut down. The drain must fold and ack all of them before
         // the actor exits.
-        let engine = service.shutdown().expect("graceful shutdown");
+        let engine = shutdown_one(service);
         for p in pending {
             block_on(p).expect("queued commit was drained and acked, not dropped");
         }
@@ -212,8 +224,10 @@ fn receipts_resolve_only_after_the_covering_fsync() {
         LogOptions { fsync: FsyncPolicy::Always, compact_every: 0, ..LogOptions::default() };
     let engine: DurableTrustStore<u32> =
         TrustEngine::open_with(&dir, options).expect("fresh dir opens");
-    let service =
-        TrustService::spawn(engine, ServiceOptions { mailbox: 64, ..ServiceOptions::default() });
+    let service = ShardedTrustService::spawn(
+        engine,
+        ServiceOptions { mailbox: 64, ..ServiceOptions::default() },
+    );
     let handle = service.handle();
 
     let snapshot = |tag: &str| {
@@ -266,7 +280,7 @@ fn receipts_resolve_only_after_the_covering_fsync() {
     }
 
     drop(handle);
-    let engine = service.shutdown().expect("clean shutdown");
+    let engine = shutdown_one(service);
     assert_eq!(interactions(&engine), 240);
     drop(engine);
     std::fs::remove_dir_all(&dir).expect("scratch removable");
@@ -279,7 +293,7 @@ fn receipts_resolve_only_after_the_covering_fsync() {
 fn dropping_handles_without_shutdown_still_flushes() {
     let dir = tmpdir("service-dropflush");
     let engine: DurableTrustStore<u32> = TrustEngine::open(&dir).expect("fresh dir opens");
-    let service = TrustService::spawn(engine, ServiceOptions::default());
+    let service = ShardedTrustService::spawn(engine, ServiceOptions::default());
     let handle = service.handle();
     block_on(handle.commit(completed(0, &(3, Observation::success(0.9, 0.1), 0, 1.0))))
         .expect("commit acked");
@@ -291,7 +305,7 @@ fn dropping_handles_without_shutdown_still_flushes() {
     // writes would make this test a second writer): the journal's exit
     // flush is the only thing that ever grows the active segment past its
     // header
-    let log = dir.join(siot_core::log_backend::segment_file_name(1));
+    let log = dir.join(siot_core::log::segment_file_name(1));
     let header = 8u64;
     let mut last = 0;
     for _ in 0..500 {

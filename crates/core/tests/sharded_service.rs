@@ -1,15 +1,15 @@
 //! Integration tests for the sharded service tier: commits routed through
-//! any shard count are bit-identical to the single-actor service and to
-//! the sequential `commit_batch` fold; per-shard durable directories
+//! any shard count are bit-identical to the one-shard service and to the
+//! sequential `commit_batch` fold; per-shard durable directories
 //! survive shutdown; broadcast merges equal the unsharded union; and a
 //! stopped shard surfaces a typed error, never a partial silent merge.
 
 use proptest::prelude::*;
 use siot_core::backend::TrustBackend;
 use siot_core::environment::EnvIndicator;
-use siot_core::log_backend::WriteBehind;
+use siot_core::log::WriteBehind;
 use siot_core::prelude::*;
-use siot_core::service::{block_on, ServiceOptions, TrustService};
+use siot_core::service::{block_on, ServiceOptions};
 
 mod common;
 use common::tmpdir;
@@ -32,7 +32,7 @@ fn observation() -> impl Strategy<Value = Observation> {
 }
 
 /// Three workers' commit streams over disjoint key spaces (peer =
-/// `worker · 100 + trustee`), as in the single-actor suite — any
+/// `worker · 100 + trustee`), as in the one-shard suite — any
 /// interleaving must land on the same per-key state as sequential play.
 fn streams() -> impl Strategy<Value = Vec<Vec<Step>>> {
     prop::collection::vec(
@@ -94,27 +94,6 @@ where
     service.shutdown().expect("clean shutdown")
 }
 
-/// The single-actor reference: the same streams through one `TrustService`.
-fn run_single_actor(streams: &[Vec<Step>]) -> TrustStore<u32> {
-    let service = TrustService::spawn(
-        TrustStore::<u32>::new(),
-        ServiceOptions { mailbox: 8, ..ServiceOptions::default() },
-    );
-    std::thread::scope(|scope| {
-        for (worker, stream) in streams.iter().enumerate() {
-            let handle = service.handle();
-            scope.spawn(move || {
-                let pending: Vec<_> =
-                    stream.iter().map(|step| handle.submit(completed(worker, step))).collect();
-                for p in pending {
-                    block_on(p).expect("service alive");
-                }
-            });
-        }
-    });
-    service.shutdown().expect("clean shutdown")
-}
-
 /// The sequential reference: the same commits via `commit_batch`.
 fn run_sequential(streams: &[Vec<Step>]) -> TrustStore<u32> {
     let mut engine: TrustStore<u32> = TrustStore::new();
@@ -161,7 +140,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Concurrent commits through any shard count are bit-identical to the
-    /// single-actor service and to the sequential fold (BTree backend).
+    /// one-shard service and to the sequential fold (BTree backend).
     #[test]
     fn sharded_commits_match_single_actor_and_sequential_btree(
         streams in streams(),
@@ -169,9 +148,10 @@ proptest! {
     ) {
         let fleet = run_sharded(shards, |_| TrustStore::<u32>::new(), &streams);
         prop_assert_eq!(fleet.len(), shards);
-        let single = run_single_actor(&streams);
+        let single = run_sharded(1, |_| TrustStore::<u32>::new(), &streams);
+        prop_assert_eq!(single.len(), 1);
         let sequential = run_sequential(&streams);
-        shards_bit_identical(&fleet, &single)?;
+        shards_bit_identical(&fleet, &single[0])?;
         shards_bit_identical(&fleet, &sequential)?;
     }
 

@@ -37,12 +37,12 @@ use siot_core::delegation::{
 };
 use siot_core::error::TrustError;
 use siot_core::goal::Goal;
-use siot_core::log_backend::{LogOptions, WriteBehind};
+use siot_core::log::{LogOptions, WriteBehind};
 use siot_core::pool::ObserverPool;
 use siot_core::record::{ForgettingFactors, Observation, TrustRecord};
 use siot_core::service::{
     block_on, FleetTrustHandle, Freshness, Pending, RemotePending, RemoteTrustServiceHandle,
-    ShardedTrustServiceHandle, TrustServiceHandle,
+    ShardedTrustServiceHandle,
 };
 use siot_core::store::TrustEngine;
 use siot_core::task::{CharacteristicId, Task, TaskId};
@@ -287,11 +287,11 @@ impl<B: ConcurrentTrustBackend<DeviceId> + Send + 'static> Application for Coord
 
 /// The coordinator's **service-backed mode**: instead of owning a ledger
 /// engine (plus a worker pool to fold into it), the coordinator holds a
-/// [`TrustServiceHandle`] and forwards every trustor report through it as
-/// a completed delegation session — the trustors' feedback literally goes
-/// through the handle, and the
-/// [`TrustService`](siot_core::service::TrustService) actor owns the
-/// engine on its own thread.
+/// [`ShardedTrustServiceHandle`] and forwards every trustor report through
+/// it as a completed delegation session — the trustors' feedback literally
+/// goes through the handle, and the
+/// [`ShardedTrustService`](siot_core::service::ShardedTrustService)
+/// actors own the engine on their own threads.
 ///
 /// What that buys over [`CoordinatorApp`]:
 ///
@@ -300,11 +300,11 @@ impl<B: ConcurrentTrustBackend<DeviceId> + Send + 'static> Application for Coord
 ///   the same engine concurrently, and the actor serializes them;
 /// * the coordinator's event loop never folds — and never *waits*:
 ///   reports are built into completed sessions locally and **submitted
-///   without awaiting** ([`TrustServiceHandle::submit`]), so the actor's
+///   without awaiting** ([`ShardedTrustServiceHandle::submit`]), so the actor's
 ///   drain finds real batches and each `Report` frame costs one channel
 ///   send, not a cross-thread round trip;
 /// * durability is the service's problem: spawn it over a
-///   [`LogBackend`](siot_core::log_backend::LogBackend) or
+///   [`LogBackend`](siot_core::log::LogBackend) or
 ///   [`WriteBehind`] engine and the service's graceful shutdown drains +
 ///   flushes, so every acked report survives a restart.
 ///
@@ -316,11 +316,10 @@ impl<B: ConcurrentTrustBackend<DeviceId> + Send + 'static> Application for Coord
 /// the coordinator) are counted by [`Self::rejected`] instead of silently
 /// vanishing.
 ///
-/// The ledger can also be a **sharded** fleet: [`Self::sharded`] takes a
-/// [`ShardedTrustServiceHandle`], so the shard count is the coordinator's
-/// scaling knob — each report routes straight to the shard owning the
-/// selected trustee, and the ranking merges all shards in one aligned
-/// global cut.
+/// The shard count behind the handle is the coordinator's scaling knob:
+/// one shard is a single actor, and with more shards each report routes
+/// straight to the shard owning the selected trustee while the ranking
+/// merges all shards in one aligned global cut.
 ///
 /// And it can live in **another process**: [`Self::remote`] takes a
 /// [`RemoteTrustServiceHandle`], so the fleet ledger is whatever service a
@@ -351,10 +350,10 @@ pub struct ServedCoordinatorApp {
     ledger_task: Task,
 }
 
-/// The service the coordinator reports through: one actor, a sharded
-/// fleet routed by selected trustee, or a remote service over TCP.
+/// The service the coordinator reports through: in process (routed by
+/// selected trustee across its shards), a remote service over TCP, or a
+/// fleet of such services.
 enum LedgerHandle {
-    Single(TrustServiceHandle<DeviceId>),
     Sharded(ShardedTrustServiceHandle<DeviceId>),
     Remote(RemoteTrustServiceHandle<DeviceId>),
     Fleet(FleetTrustHandle<DeviceId>),
@@ -391,7 +390,6 @@ impl std::future::Future for ReceiptPending {
 impl LedgerHandle {
     fn submit(&self, completed: CompletedDelegation<DeviceId>) -> ReceiptPending {
         match self {
-            LedgerHandle::Single(h) => ReceiptPending::Local(h.submit(completed)),
             LedgerHandle::Sharded(h) => ReceiptPending::Local(h.submit(completed)),
             LedgerHandle::Remote(h) => ReceiptPending::Remote(h.submit(completed)),
             LedgerHandle::Fleet(h) => ReceiptPending::Fleet(Box::pin(h.submit(completed))),
@@ -400,11 +398,10 @@ impl LedgerHandle {
 
     fn task_records(&self, task: TaskId) -> Result<Vec<(DeviceId, TrustRecord)>, TrustError> {
         match self {
-            LedgerHandle::Single(h) => block_on(h.task_records(task)),
             // a ranking spanning shards should rank a state that actually
             // existed: one aligned global cut
             LedgerHandle::Sharded(h) => block_on(h.task_records_with(task, Freshness::Aligned)),
-            // the server runs the same barrier when its endpoint is sharded
+            // the server runs the same barrier on its shards
             LedgerHandle::Remote(h) => block_on(h.task_records_with(task, Freshness::Aligned)),
             // aligned per node; a down node's range is absent rather than
             // failing the whole ranking
@@ -416,7 +413,6 @@ impl LedgerHandle {
 
     fn flush(&self) -> Result<(), TrustError> {
         match self {
-            LedgerHandle::Single(h) => block_on(h.flush()),
             LedgerHandle::Sharded(h) => block_on(h.flush()),
             LedgerHandle::Remote(h) => block_on(h.flush()),
             LedgerHandle::Fleet(h) => block_on(h.flush()),
@@ -425,21 +421,16 @@ impl LedgerHandle {
 }
 
 impl ServedCoordinatorApp {
-    /// A coordinator forwarding its fleet ledger through `handle`.
-    pub fn new(handle: TrustServiceHandle<DeviceId>) -> Self {
-        Self::with_ledger_handle(LedgerHandle::Single(handle))
-    }
-
-    /// A coordinator whose fleet ledger is a **sharded** service: reports
+    /// A coordinator forwarding its fleet ledger through `handle`: reports
     /// route by selected trustee to the owning shard, so the shard count
     /// behind `handle` is the coordinator's write-throughput knob.
-    pub fn sharded(handle: ShardedTrustServiceHandle<DeviceId>) -> Self {
+    pub fn new(handle: ShardedTrustServiceHandle<DeviceId>) -> Self {
         Self::with_ledger_handle(LedgerHandle::Sharded(handle))
     }
 
     /// A coordinator whose fleet ledger lives in **another process**:
     /// reports travel a [`RemoteTrustServiceHandle`]'s TCP connection to
-    /// whatever service (single or sharded) the far end serves. Submits
+    /// whatever service (one shard or many) the far end serves. Submits
     /// pipeline over the socket exactly as they pipeline into a local
     /// mailbox, and the ranking still reads one aligned cut — the server
     /// runs the rendezvous barrier on the coordinator's behalf.
@@ -470,13 +461,12 @@ impl ServedCoordinatorApp {
         }
     }
 
-    /// How many shards the ledger folds across: 1 in single-service mode,
-    /// the fleet's shard count in [`Self::sharded`] mode. A remote ledger
+    /// How many shards the ledger folds across: the in-process service's
+    /// shard count (1 for a single actor). A remote ledger
     /// is asked over the wire (its per-shard stats), falling back to 1 if
     /// the far service is gone.
     pub fn shard_count(&self) -> usize {
         match &self.handle {
-            LedgerHandle::Single(_) => 1,
             LedgerHandle::Sharded(h) => h.shard_count(),
             LedgerHandle::Remote(h) => block_on(h.shard_stats()).map_or(1, |s| s.len().max(1)),
             // the fleet folds across the sum of every reachable node's
@@ -490,8 +480,8 @@ impl ServedCoordinatorApp {
     /// One report as a committed session over the wire: the decision was
     /// the reporting trustor's, so the session is completed locally and
     /// submitted without awaiting — the actor folds it batched with
-    /// whatever else its next drain finds. In sharded mode the submission
-    /// routes straight to the shard owning `selected`.
+    /// whatever else its next drain finds. The submission routes straight
+    /// to the shard owning `selected`.
     fn fold_report(&mut self, selected: DeviceId, net_profit: f64) {
         let Some(obs) = report_observation(net_profit) else {
             return;
@@ -537,7 +527,7 @@ impl ServedCoordinatorApp {
     /// Trustees ranked by fleet-wide expected net profit, best first (ties
     /// broken by id) — computed from the service's ledger, so the ranking
     /// reflects every report the actor has acked, from this coordinator
-    /// and any other handle holder. In sharded mode the snapshot is one
+    /// and any other handle holder. The snapshot is one
     /// [`Freshness::Aligned`] global cut across every shard.
     pub fn trustee_ranking(&self) -> Result<Vec<(DeviceId, f64)>, TrustError> {
         self.settle();
@@ -557,7 +547,7 @@ impl ServedCoordinatorApp {
 
     /// Forces the service's ledger down to stable storage — the durable
     /// parallel of [`CoordinatorApp::sync_ledger`], through the handle
-    /// (every shard's engine, in sharded mode). Settles first, so
+    /// (every shard's engine). Settles first, so
     /// "flushed" covers every report submitted so far.
     pub fn sync_ledger(&self) -> Result<(), TrustError> {
         self.settle();
@@ -736,9 +726,9 @@ mod tests {
 
     #[test]
     fn served_coordinator_reports_through_the_handle() {
-        use siot_core::service::{ServiceOptions, TrustService};
+        use siot_core::service::{ServiceOptions, ShardedTrustService};
 
-        let service = TrustService::spawn(
+        let service = ShardedTrustService::spawn(
             TrustEngine::<DeviceId, ShardedBackend<DeviceId>>::new(),
             ServiceOptions::default(),
         );
@@ -765,21 +755,23 @@ mod tests {
         assert_eq!(ranking[0].0, DeviceId(9));
         assert!(ranking[0].1 > 0.0);
 
-        // …and the engine handed back on shutdown holds all three folds
-        let engine = service.shutdown().unwrap();
-        assert_eq!(engine.record(DeviceId(9), super::LEDGER_TASK).unwrap().interactions, 3);
+        // …and the one engine handed back on shutdown holds all three folds
+        assert_eq!(app.shard_count(), 1);
+        let engines = service.shutdown().unwrap();
+        assert_eq!(engines.len(), 1);
+        assert_eq!(engines[0].record(DeviceId(9), super::LEDGER_TASK).unwrap().interactions, 3);
     }
 
     #[test]
     fn served_coordinator_durable_ledger_survives_service_restart() {
-        use siot_core::log_backend::LogBackend;
-        use siot_core::service::{ServiceOptions, TrustService};
+        use siot_core::log::LogBackend;
+        use siot_core::service::{ServiceOptions, ShardedTrustService};
 
         let dir = std::env::temp_dir().join(format!("siot-served-ledger-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
             let engine = TrustEngine::<DeviceId, LogBackend<DeviceId>>::open(&dir).unwrap();
-            let service = TrustService::spawn(engine, ServiceOptions::default());
+            let service = ShardedTrustService::spawn(engine, ServiceOptions::default());
             let mut app = ServedCoordinatorApp::new(service.handle());
             for _ in 0..5 {
                 app.fold_report(DeviceId(3), 0.8);
@@ -817,7 +809,7 @@ mod tests {
         let coord = net.add_device(
             DeviceKind::Coordinator,
             (0.0, 0.0),
-            Box::new(ServedCoordinatorApp::sharded(service.handle())),
+            Box::new(ServedCoordinatorApp::new(service.handle())),
         );
         for i in 0..3 {
             net.add_device(DeviceKind::Trustor, (5.0 * i as f64, 5.0), Box::new(Reporter));
@@ -959,7 +951,7 @@ mod tests {
 
     #[test]
     fn served_coordinator_sharded_durable_ledger_survives_restart() {
-        use siot_core::log_backend::LogBackend;
+        use siot_core::log::LogBackend;
         use siot_core::service::{ServiceOptions, ShardedTrustService};
 
         let root = std::env::temp_dir().join(format!("siot-served-sharded-{}", std::process::id()));
@@ -974,7 +966,7 @@ mod tests {
             };
         {
             let service = spawn(&root);
-            let mut app = ServedCoordinatorApp::sharded(service.handle());
+            let mut app = ServedCoordinatorApp::new(service.handle());
             for _ in 0..5 {
                 app.fold_report(DeviceId(3), 0.8);
                 app.fold_report(DeviceId(5), -0.4);
@@ -987,7 +979,7 @@ mod tests {
         // "restart": the same root, the same shard count — the recovered
         // fleet ranks from remembered trust
         let service = spawn(&root);
-        let app = ServedCoordinatorApp::sharded(service.handle());
+        let app = ServedCoordinatorApp::new(service.handle());
         let ranking = app.trustee_ranking().unwrap();
         assert_eq!(
             ranking.iter().map(|&(d, _)| d).collect::<Vec<_>>(),

@@ -16,9 +16,9 @@ impl DeviceId {
 
 /// Device ids serialize into durable trust logs over their dense index, so
 /// a coordinator's fleet ledger can live in a
-/// [`LogBackend`](siot_core::log_backend::LogBackend) /
-/// [`WriteBehind`](siot_core::log_backend::WriteBehind) store.
-impl siot_core::log_backend::LogKey for DeviceId {
+/// [`LogBackend`](siot_core::log::LogBackend) /
+/// [`WriteBehind`](siot_core::log::WriteBehind) store.
+impl siot_core::log::LogKey for DeviceId {
     fn to_log_u64(self) -> u64 {
         self.0 as u64
     }

@@ -5,10 +5,11 @@
 //! trustor its own `&mut TrustEngine` and drives it synchronously. Here
 //! the same shape — hidden trustee qualities, repeated delegation,
 //! selection by Eq. 23 expected net profit, post-evaluation feedback —
-//! runs against a single [`TrustService`]: each requester owns a cloned
-//! [`TrustServiceHandle`] on its own thread, evaluates and commits
-//! delegation sessions over the actor's mailbox, and the actor batches
-//! whatever the concurrent requesters race in per drain.
+//! runs against one shared [`ShardedTrustService`] — a single actor in
+//! [`run`]: each requester owns a cloned [`ShardedTrustServiceHandle`] on
+//! its own thread, evaluates and commits delegation sessions over the
+//! actor's mailbox, and the actor batches whatever the concurrent
+//! requesters race in per drain.
 //!
 //! Records are scoped per requester (the trust a requester learns is its
 //! own, exactly like the per-trustor engines of the original scenario) by
@@ -18,12 +19,12 @@
 //! by [`run`] (threads racing) and [`run_sequential`] (same drives, one
 //! after another) producing bit-identical final state.
 //!
-//! [`run_sharded`] is the same experiment against a
-//! [`ShardedTrustService`]: every operation a requester performs is
-//! peer-targeted, so the whole scenario routes shard-locally — and because
-//! one peer's history lives entirely inside one shard, the sharded run is
-//! bit-identical to the sequential single-actor reference too (the merged
-//! per-shard records ARE the unsharded records).
+//! [`run_sharded`] is the same experiment against N shard actors: every
+//! operation a requester performs is peer-targeted, so the whole scenario
+//! routes shard-locally — and because one peer's history lives entirely
+//! inside one shard, the sharded run is bit-identical to the sequential
+//! single-actor reference too (the merged per-shard records ARE the
+//! unsharded records).
 //!
 //! [`run_remote`] pushes the same claim across a **process boundary**:
 //! the sharded fleet sits behind a loopback
@@ -52,7 +53,7 @@ use siot_core::goal::Goal;
 use siot_core::record::TrustRecord;
 use siot_core::service::{
     block_on, FleetTrustHandle, RemoteTrustServer, RemoteTrustServiceHandle, ServiceOptions,
-    ShardedTrustService, ShardedTrustServiceHandle, TrustService, TrustServiceHandle,
+    ShardedTrustService, ShardedTrustServiceHandle,
 };
 use siot_core::store::TrustEngine;
 use siot_core::task::{CharacteristicId, Task, TaskId};
@@ -113,12 +114,11 @@ fn qualities(cfg: &ServiceScenarioConfig) -> Vec<f64> {
     (0..cfg.trustees).map(|_| rng.gen_range(0.2..1.0)).collect()
 }
 
-/// The service a requester drives: one actor or a sharded fleet. Every
-/// operation the scenario performs is peer-targeted, so both route
-/// identically from the requester's point of view.
+/// The service a requester drives: in process, over the wire, or across a
+/// fleet of nodes. Every operation the scenario performs is peer-targeted,
+/// so all of them route identically from the requester's point of view.
 #[derive(Clone)]
 enum ScenarioHandle {
-    Single(TrustServiceHandle<u64>),
     Sharded(ShardedTrustServiceHandle<u64>),
     Remote(RemoteTrustServiceHandle<u64>),
     Fleet(FleetTrustHandle<u64>),
@@ -127,7 +127,6 @@ enum ScenarioHandle {
 impl ScenarioHandle {
     async fn record(&self, peer: u64, task: TaskId) -> Result<Option<TrustRecord>, TrustError> {
         match self {
-            ScenarioHandle::Single(h) => h.record(peer, task).await,
             ScenarioHandle::Sharded(h) => h.record(peer, task).await,
             ScenarioHandle::Remote(h) => h.record(peer, task).await,
             ScenarioHandle::Fleet(h) => h.record(peer, task).await,
@@ -136,7 +135,6 @@ impl ScenarioHandle {
 
     async fn delegate(&self, request: DelegationRequest<u64>) -> Result<Decision<u64>, TrustError> {
         match self {
-            ScenarioHandle::Single(h) => h.delegate(request).await,
             ScenarioHandle::Sharded(h) => h.delegate(request).await,
             ScenarioHandle::Remote(h) => h.delegate(request).await,
             ScenarioHandle::Fleet(h) => h.delegate(request).await,
@@ -148,7 +146,6 @@ impl ScenarioHandle {
         completed: CompletedDelegation<u64>,
     ) -> Result<DelegationReceipt<u64>, TrustError> {
         match self {
-            ScenarioHandle::Single(h) => h.commit(completed).await,
             ScenarioHandle::Sharded(h) => h.commit(completed).await,
             ScenarioHandle::Remote(h) => h.commit(completed).await,
             ScenarioHandle::Fleet(h) => h.submit(completed).await,
@@ -226,47 +223,23 @@ fn drive_requester(
 }
 
 /// Runs the scenario with every requester on its own thread, racing into
-/// the shared service.
+/// the shared single-actor service.
 pub fn run(cfg: &ServiceScenarioConfig) -> ServiceScenarioOutcome {
-    run_inner(cfg, true)
+    run_in_process(cfg, 1, true)
 }
 
 /// The same requester drives, executed one requester after another — the
 /// sequential reference [`run`] must match bit-for-bit.
 pub fn run_sequential(cfg: &ServiceScenarioConfig) -> ServiceScenarioOutcome {
-    run_inner(cfg, false)
+    run_in_process(cfg, 1, false)
 }
 
-/// [`run`], but against a [`ShardedTrustService`] of `shards` actors:
-/// requesters race through routing-handle clones, every operation lands
-/// shard-locally, and the merged per-shard records must match the
-/// sequential single-actor reference bit-for-bit.
+/// [`run`], but against `shards` actors: requesters race through
+/// routing-handle clones, every operation lands shard-locally, and the
+/// merged per-shard records must match the sequential single-actor
+/// reference bit-for-bit.
 pub fn run_sharded(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenarioOutcome {
-    let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
-    let service = ShardedTrustService::spawn_sharded(
-        shards,
-        ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
-        |_| {
-            let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
-            engine.register_task(task.clone());
-            engine
-        },
-    );
-    let (per_requester, declined) =
-        drive_fleet(cfg, &task, &ScenarioHandle::Sharded(service.handle()), true);
-    let engines = service.shutdown().expect("scenario shards shut down cleanly");
-    let mut final_records: Vec<(u64, TrustRecord)> = engines
-        .iter()
-        .flat_map(|engine| {
-            engine
-                .known_peers()
-                .into_iter()
-                .filter_map(|peer| engine.record(peer, SERVICE_TASK).map(|rec| (peer, rec)))
-        })
-        .collect();
-    // shards are disjoint: the merge is a sort, not a fold
-    final_records.sort_unstable_by_key(|&(peer, _)| peer);
-    outcome(per_requester, declined, final_records)
+    run_in_process(cfg, shards, true)
 }
 
 /// [`run_sharded`], but **over the wire**: the fleet of `shards` actors is
@@ -276,16 +249,8 @@ pub fn run_sharded(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenari
 /// the wire protocol round-trips reals bit-identically, the final records
 /// must still match the sequential in-process reference bit-for-bit.
 pub fn run_remote(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenarioOutcome {
-    let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
-    let service = ShardedTrustService::spawn_sharded(
-        shards,
-        ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
-        |_| {
-            let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
-            engine.register_task(task.clone());
-            engine
-        },
-    );
+    let task = service_task();
+    let service = spawn_service(cfg, shards, &task);
     let server =
         RemoteTrustServer::bind("127.0.0.1:0", service.handle()).expect("loopback listener binds");
     let remote = RemoteTrustServiceHandle::<u64>::connect(server.local_addr())
@@ -293,17 +258,7 @@ pub fn run_remote(cfg: &ServiceScenarioConfig, shards: usize) -> ServiceScenario
     let (per_requester, declined) = drive_fleet(cfg, &task, &ScenarioHandle::Remote(remote), true);
     server.shutdown();
     let engines = service.shutdown().expect("scenario shards shut down cleanly");
-    let mut final_records: Vec<(u64, TrustRecord)> = engines
-        .iter()
-        .flat_map(|engine| {
-            engine
-                .known_peers()
-                .into_iter()
-                .filter_map(|peer| engine.record(peer, SERVICE_TASK).map(|rec| (peer, rec)))
-        })
-        .collect();
-    final_records.sort_unstable_by_key(|&(peer, _)| peer);
-    outcome(per_requester, declined, final_records)
+    outcome(per_requester, declined, merged_records(engines))
 }
 
 /// [`run_remote`], but across a **fleet of nodes**: `nodes` independent
@@ -317,20 +272,8 @@ pub fn run_fleet(
     nodes: usize,
     shards: usize,
 ) -> ServiceScenarioOutcome {
-    let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
-    let services: Vec<_> = (0..nodes)
-        .map(|_| {
-            ShardedTrustService::spawn_sharded(
-                shards,
-                ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
-                |_| {
-                    let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
-                    engine.register_task(task.clone());
-                    engine
-                },
-            )
-        })
-        .collect();
+    let task = service_task();
+    let services: Vec<_> = (0..nodes).map(|_| spawn_service(cfg, shards, &task)).collect();
     let servers: Vec<_> = services
         .iter()
         .map(|s| RemoteTrustServer::bind("127.0.0.1:0", s.handle()).expect("loopback bind"))
@@ -341,40 +284,65 @@ pub fn run_fleet(
     for server in servers {
         server.shutdown();
     }
-    let mut final_records: Vec<(u64, TrustRecord)> = services
+    let engines = services
         .into_iter()
         .flat_map(|s| s.shutdown().expect("scenario nodes shut down cleanly"))
+        .collect();
+    outcome(per_requester, declined, merged_records(engines))
+}
+
+/// The in-process runs: `shards` actors, requesters racing (`concurrent`)
+/// or one after another.
+fn run_in_process(
+    cfg: &ServiceScenarioConfig,
+    shards: usize,
+    concurrent: bool,
+) -> ServiceScenarioOutcome {
+    let task = service_task();
+    let service = spawn_service(cfg, shards, &task);
+    let (per_requester, declined) =
+        drive_fleet(cfg, &task, &ScenarioHandle::Sharded(service.handle()), concurrent);
+    let engines = service.shutdown().expect("scenario shards shut down cleanly");
+    outcome(per_requester, declined, merged_records(engines))
+}
+
+fn service_task() -> Task {
+    Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task")
+}
+
+/// A `shards`-actor service over the sharded in-memory backend, with the
+/// experiment's task registered on every shard.
+fn spawn_service(
+    cfg: &ServiceScenarioConfig,
+    shards: usize,
+    task: &Task,
+) -> ShardedTrustService<u64, ShardedBackend<u64>> {
+    ShardedTrustService::spawn_sharded(
+        shards,
+        ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
+        |_| {
+            let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
+            engine.register_task(task.clone());
+            engine
+        },
+    )
+}
+
+/// Every engine's records for the experiment's task, ascending by key.
+/// Nodes and shards partition the key space, so the merge is a sort, not
+/// a fold.
+fn merged_records(engines: Vec<TrustEngine<u64, ShardedBackend<u64>>>) -> Vec<(u64, TrustRecord)> {
+    let mut records: Vec<(u64, TrustRecord)> = engines
+        .iter()
         .flat_map(|engine| {
             engine
                 .known_peers()
                 .into_iter()
                 .filter_map(|peer| engine.record(peer, SERVICE_TASK).map(|rec| (peer, rec)))
-                .collect::<Vec<_>>()
         })
         .collect();
-    // nodes and shards partition the key space: the merge is a sort
-    final_records.sort_unstable_by_key(|&(peer, _)| peer);
-    outcome(per_requester, declined, final_records)
-}
-
-fn run_inner(cfg: &ServiceScenarioConfig, concurrent: bool) -> ServiceScenarioOutcome {
-    let task = Task::uniform(SERVICE_TASK, [CharacteristicId(0)]).expect("non-empty task");
-    let mut engine: TrustEngine<u64, ShardedBackend<u64>> = TrustEngine::new();
-    engine.register_task(task.clone());
-    let service = TrustService::spawn(
-        engine,
-        ServiceOptions { mailbox: cfg.mailbox, ..ServiceOptions::default() },
-    );
-    let (per_requester, declined) =
-        drive_fleet(cfg, &task, &ScenarioHandle::Single(service.handle()), concurrent);
-    let engine = service.shutdown().expect("scenario service shuts down cleanly");
-    let mut final_records: Vec<(u64, TrustRecord)> = Vec::with_capacity(engine.record_count());
-    for peer in engine.known_peers() {
-        if let Some(rec) = engine.record(peer, SERVICE_TASK) {
-            final_records.push((peer, rec));
-        }
-    }
-    outcome(per_requester, declined, final_records)
+    records.sort_unstable_by_key(|&(peer, _)| peer);
+    records
 }
 
 /// Every requester's drive — racing threads or one after another — with
@@ -427,13 +395,12 @@ fn outcome(
 mod tests {
     use super::*;
 
-    #[test]
-    fn concurrent_requesters_match_sequential_bitwise() {
-        let cfg = ServiceScenarioConfig { iterations: 60, ..Default::default() };
-        let racing = run(&cfg);
-        let ordered = run_sequential(&cfg);
-        assert_eq!(racing.final_records.len(), ordered.final_records.len());
-        for ((pa, ra), (pb, rb)) in racing.final_records.iter().zip(&ordered.final_records) {
+    /// `a` and `b` end in bit-identical state: the same keys, every
+    /// record equal to the last mantissa bit, the same per-requester
+    /// profits and the same declines.
+    fn assert_bitwise_eq(a: &ServiceScenarioOutcome, b: &ServiceScenarioOutcome) {
+        assert_eq!(a.final_records.len(), b.final_records.len());
+        for ((pa, ra), (pb, rb)) in a.final_records.iter().zip(&b.final_records) {
             assert_eq!(pa, pb);
             assert_eq!(ra.s_hat.to_bits(), rb.s_hat.to_bits());
             assert_eq!(ra.g_hat.to_bits(), rb.g_hat.to_bits());
@@ -441,8 +408,14 @@ mod tests {
             assert_eq!(ra.c_hat.to_bits(), rb.c_hat.to_bits());
             assert_eq!(ra.interactions, rb.interactions);
         }
-        assert_eq!(racing.per_requester, ordered.per_requester);
-        assert_eq!(racing.declined, ordered.declined);
+        assert_eq!(a.per_requester, b.per_requester);
+        assert_eq!(a.declined, b.declined);
+    }
+
+    #[test]
+    fn concurrent_requesters_match_sequential_bitwise() {
+        let cfg = ServiceScenarioConfig { iterations: 60, ..Default::default() };
+        assert_bitwise_eq(&run(&cfg), &run_sequential(&cfg));
     }
 
     #[test]
@@ -450,55 +423,20 @@ mod tests {
         let cfg = ServiceScenarioConfig { iterations: 60, ..Default::default() };
         let ordered = run_sequential(&cfg);
         for shards in [2usize, 3] {
-            let sharded = run_sharded(&cfg, shards);
-            assert_eq!(sharded.final_records.len(), ordered.final_records.len());
-            for ((pa, ra), (pb, rb)) in sharded.final_records.iter().zip(&ordered.final_records) {
-                assert_eq!(pa, pb);
-                assert_eq!(ra.s_hat.to_bits(), rb.s_hat.to_bits());
-                assert_eq!(ra.g_hat.to_bits(), rb.g_hat.to_bits());
-                assert_eq!(ra.d_hat.to_bits(), rb.d_hat.to_bits());
-                assert_eq!(ra.c_hat.to_bits(), rb.c_hat.to_bits());
-                assert_eq!(ra.interactions, rb.interactions);
-            }
-            assert_eq!(sharded.per_requester, ordered.per_requester);
-            assert_eq!(sharded.declined, ordered.declined);
+            assert_bitwise_eq(&run_sharded(&cfg, shards), &ordered);
         }
     }
 
     #[test]
     fn remote_requesters_match_sequential_bitwise() {
         let cfg = ServiceScenarioConfig { iterations: 40, ..Default::default() };
-        let ordered = run_sequential(&cfg);
-        let remote = run_remote(&cfg, 2);
-        assert_eq!(remote.final_records.len(), ordered.final_records.len());
-        for ((pa, ra), (pb, rb)) in remote.final_records.iter().zip(&ordered.final_records) {
-            assert_eq!(pa, pb);
-            assert_eq!(ra.s_hat.to_bits(), rb.s_hat.to_bits());
-            assert_eq!(ra.g_hat.to_bits(), rb.g_hat.to_bits());
-            assert_eq!(ra.d_hat.to_bits(), rb.d_hat.to_bits());
-            assert_eq!(ra.c_hat.to_bits(), rb.c_hat.to_bits());
-            assert_eq!(ra.interactions, rb.interactions);
-        }
-        assert_eq!(remote.per_requester, ordered.per_requester);
-        assert_eq!(remote.declined, ordered.declined);
+        assert_bitwise_eq(&run_remote(&cfg, 2), &run_sequential(&cfg));
     }
 
     #[test]
     fn fleet_requesters_match_sequential_bitwise() {
         let cfg = ServiceScenarioConfig { iterations: 40, ..Default::default() };
-        let ordered = run_sequential(&cfg);
-        let fleet = run_fleet(&cfg, 2, 2);
-        assert_eq!(fleet.final_records.len(), ordered.final_records.len());
-        for ((pa, ra), (pb, rb)) in fleet.final_records.iter().zip(&ordered.final_records) {
-            assert_eq!(pa, pb);
-            assert_eq!(ra.s_hat.to_bits(), rb.s_hat.to_bits());
-            assert_eq!(ra.g_hat.to_bits(), rb.g_hat.to_bits());
-            assert_eq!(ra.d_hat.to_bits(), rb.d_hat.to_bits());
-            assert_eq!(ra.c_hat.to_bits(), rb.c_hat.to_bits());
-            assert_eq!(ra.interactions, rb.interactions);
-        }
-        assert_eq!(fleet.per_requester, ordered.per_requester);
-        assert_eq!(fleet.declined, ordered.declined);
+        assert_bitwise_eq(&run_fleet(&cfg, 2, 2), &run_sequential(&cfg));
     }
 
     #[test]

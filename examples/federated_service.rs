@@ -1,7 +1,7 @@
 //! Federated service: a trust fleet served over TCP to another process.
 //!
-//! `RemoteTrustServer` exposes a running `TrustService` or
-//! `ShardedTrustService` on a socket; `RemoteTrustServiceHandle` connects
+//! `RemoteTrustServer` exposes a running `ShardedTrustService` (one shard
+//! or many) on a socket; `RemoteTrustServiceHandle` connects
 //! and speaks the same `submit`/`evaluate`/`known_peers`/… vocabulary as
 //! a local handle — plain `std` futures, fully pipelined, every real
 //! crossing the wire as its IEEE-754 bits. This example walks the

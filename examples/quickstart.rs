@@ -6,7 +6,7 @@
 //! `Decision` (Eq. 23 / §3.4) → `execute` (action, result, and the
 //! post-evaluation updates of Eqs. 19–22, folded exactly once) — then
 //! finishes with a **durable** engine that survives a restart, with the
-//! engine **served** — moved onto a `TrustService` actor thread whose
+//! engine **served** — moved onto a single service actor thread whose
 //! cloneable async handles let concurrent requesters share it — with
 //! the service **sharded**: partitioned shard actors behind one routing
 //! handle — with the service **federated**: exposed over TCP to a
@@ -22,7 +22,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use siot::core::log_backend::{FsyncPolicy, LogOptions};
+use siot::core::log::{FsyncPolicy, LogOptions};
 use siot::core::prelude::*;
 use siot::core::service::block_on;
 use siot::graph::generate::watts_strogatz;
@@ -160,16 +160,16 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // 8. serving trust: the same process as a shared async service. A
-    //    `TrustService` actor owns the engine on its own thread; cloneable
-    //    `Send` handles evaluate, commit and query through `async fn`s
-    //    (driven here by the bundled `block_on` — no runtime needed), and
-    //    adjacent commits racing in from many requesters fold in one
-    //    batched storage pass per mailbox drain. See
+    //    one-shard `ShardedTrustService` actor owns the engine on its own
+    //    thread; cloneable `Send` handles evaluate, commit and query
+    //    through `async fn`s (driven here by the bundled `block_on` — no
+    //    runtime needed), and adjacent commits racing in from many
+    //    requesters fold in one batched storage pass per mailbox drain. See
     //    `examples/serving_trust.rs` for the durable, restart-surviving
     //    variant.
     let mut shared: TrustStore<u32> = TrustStore::new();
     shared.register_task(task.clone());
-    let service = TrustService::spawn(shared, ServiceOptions::default());
+    let service = ShardedTrustService::spawn(shared, ServiceOptions::default());
     std::thread::scope(|scope| {
         for requester in 0..3u32 {
             let handle = service.handle();
@@ -198,7 +198,7 @@ fn main() {
         }
     });
     // graceful shutdown drains the mailbox and hands the engine back
-    let served = service.shutdown().expect("service drains and stops");
+    let served = service.shutdown().expect("service drains and stops").remove(0);
     println!(
         "\nserved trust: {} trustees learned through concurrent handles, e.g. toward 100: {}",
         served.known_peers().len(),

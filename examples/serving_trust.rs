@@ -1,5 +1,5 @@
 //! Serving trust: one durable engine shared by many concurrent
-//! requesters through the async `TrustService` facade.
+//! requesters through the async service facade.
 //!
 //! The paper frames trust as a process run *by* an agent; SIoT
 //! deployments also need that process run *for* a fleet — a shared
@@ -7,9 +7,10 @@
 //! concurrently. This example walks the full service lifecycle:
 //!
 //! 1. open a **durable** engine (append-only log + snapshot recovery);
-//! 2. spawn a [`TrustService`]: the actor thread takes ownership, handles
-//!    are `Clone + Send`, methods are `async fn`s — no runtime, the
-//!    bundled `block_on` drives them;
+//! 2. spawn a single-actor service ([`ShardedTrustService::spawn`], the
+//!    one-shard case): the actor thread takes ownership, handles are
+//!    `Clone + Send`, methods are `async fn`s — no runtime, the bundled
+//!    `block_on` drives them;
 //! 3. requester threads race delegation sessions through their handles —
 //!    evaluate in the actor, finish locally, commit the completion back;
 //!    adjacent commits fold in one batched storage pass per mailbox drain;
@@ -21,16 +22,16 @@
 //! Run with: `cargo run --example serving_trust`
 
 use siot::core::prelude::*;
-use siot::core::service::{block_on, ServiceOptions, TrustService};
+use siot::core::service::{block_on, ServiceOptions, ShardedTrustService};
 
 /// Hidden ground truth for the demo's trustees.
 const COMPETENCE: [f64; 4] = [0.95, 0.75, 0.5, 0.25];
 
-fn spawn_service(dir: &std::path::Path, task: &Task) -> TrustService<u32, LogBackend<u32>> {
+fn spawn_service(dir: &std::path::Path, task: &Task) -> ShardedTrustService<u32, LogBackend<u32>> {
     let mut engine: DurableTrustStore<u32> = TrustEngine::open(dir).expect("durable store opens");
     // task definitions are configuration, re-registered after opening
     engine.register_task(task.clone());
-    TrustService::spawn(engine, ServiceOptions::default())
+    ShardedTrustService::spawn(engine, ServiceOptions::default())
 }
 
 fn main() {
@@ -81,13 +82,14 @@ fn main() {
         }
     });
 
-    // graceful shutdown: mailbox drained, journal flushed, engine returned
-    let engine = service.shutdown().expect("drains and flushes");
+    // graceful shutdown: mailbox drained, journal flushed, the one shard's
+    // engine returned
+    let engines = service.shutdown().expect("drains and flushes");
     println!(
         "\nshut down with {} trustees on record; state is on disk",
-        engine.known_peers().len()
+        engines[0].known_peers().len()
     );
-    drop(engine);
+    drop(engines);
 
     // ---- second life: reopen and serve from remembered trust -----------
     let service = spawn_service(&dir, &task);

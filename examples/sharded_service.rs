@@ -1,8 +1,9 @@
 //! Sharded service: a partitioned, durable trust fleet behind one
 //! routing handle.
 //!
-//! One `TrustService` actor is one thread; when a fleet's commit volume
-//! outgrows it, `ShardedTrustService` runs N independent shard actors —
+//! `ShardedTrustService::spawn` serves an engine from one actor thread;
+//! when a fleet's commit volume outgrows it, `spawn_sharded` runs N
+//! independent shard actors —
 //! each owning its own engine and, here, its own append-only log
 //! directory — behind a single cloneable handle that routes by a stable
 //! hash of the trustee. This example walks the sharded lifecycle:
